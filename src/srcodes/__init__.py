@@ -65,7 +65,6 @@ from .sumrank import (
     matrix_to_lin,
     singleton_bound,
     sr_construct,
-    sr_encode,
     sr_min_distance_bruteforce,
     sr_zero,
     sumrank_weight,

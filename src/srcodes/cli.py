@@ -44,7 +44,7 @@ from .codes import (
     goppa_pair_dimension,
     min_distance_bruteforce,
 )
-from .hamdec import BchDecoder, GoppaDecoder, OracleDecoder
+from .hamdec import make_decoder
 from .sumrank import (
     SrWord,
     decodable_gv_rate,
@@ -79,6 +79,12 @@ def _sym_bytes(s):
     if any(v > 3 for v in vals):
         raise ConstructionError(f"symbol out of range in {s!r}")
     return vals
+
+
+def _required(fields, key):
+    if key not in fields:
+        raise ConstructionError(f"missing {key!r} line")
+    return fields[key]
 
 
 def dump_code(code):
@@ -133,7 +139,7 @@ def load_code(text):
     base = {"gf2": GF2, "gf4": GF4}.get(fields.get("field"))
     if base is None:
         raise ConstructionError(f"unsupported field {fields.get('field')!r}")
-    n = int(fields["length"])
+    n = int(_required(fields, "length"))
     dmin_str = fields.get("dmin", "1 declared")
     d_str, _, tag = dmin_str.partition(" ")
     d_lower, tag = int(d_str), (tag or "declared")
@@ -147,13 +153,13 @@ def load_code(text):
             raise ConstructionError("bch construction metadata does not match rows")
     elif cons and cons[0] == "goppa":
         f = build_field(int(cons[2]), int(cons[3], 16))
-        code = goppa_build(f, extra["locators"], extra["gpoly"],
+        code = goppa_build(f, _required(extra, "locators"), _required(extra, "gpoly"),
                            base=GF2 if cons[1] == "gf2" else GF4)
         if tuple(rows) != code.generator_matrix:
             raise ConstructionError("goppa construction metadata does not match rows")
     elif fields.get("kind") == "additive":
         code = additive_build(rows, d_lower=d_lower, d_tag=tag)
-        if code.f2_dimension != int(fields["f2dim"]):
+        if code.f2_dimension != int(_required(fields, "f2dim")):
             raise ConstructionError("declared f2dim does not match the generators")
         if code.n != n:
             raise ConstructionError("declared length does not match the rows")
@@ -197,9 +203,9 @@ def load_word(text):
         fields[key] = rest
     if fields.get("word") != "v1":
         raise ConstructionError("not a v1 word file")
-    x = _sym_bytes(fields["x"])
-    x2 = _sym_bytes(fields["x2"])
-    if len(x) != int(fields["length"]) or len(x2) != len(x):
+    x = _sym_bytes(_required(fields, "x"))
+    x2 = _sym_bytes(_required(fields, "x2"))
+    if len(x) != int(_required(fields, "length")) or len(x2) != len(x):
         raise ConstructionError("word length mismatch")
     return SrWord(x, x2)
 
@@ -357,21 +363,10 @@ def cmd_bounds(args):
 
 def cmd_encode(args):
     code = sr_construct(read_code_file(args.c1), read_code_file(args.c2))
-    bits = [int(c) for c in args.message]
-    if any(b > 1 for b in bits):
-        raise RangeError("message must be a 01 string")
-    word = code.encode(bits)
+    word = code.encode([int(c) for c in args.message])
     write_word_file(word, args.out)
     print(f"wrote length-{word.length} word to {args.out}")
     return 0
-
-
-def _decoder_for(code, budget):
-    if getattr(code, "bch_info", None) is not None:
-        return BchDecoder(code)
-    if getattr(code, "goppa_info", None) is not None:
-        return GoppaDecoder(code)
-    return OracleDecoder(code, budget=budget)
 
 
 def cmd_decode(args):
@@ -380,8 +375,8 @@ def cmd_decode(args):
     code = sr_construct(c1, c2)
     received = read_word_file(args.word)
     d_sr = args.d_sr if args.d_sr else code.d_sr_lower
-    res = sr_decode(code, _decoder_for(c1, args.budget),
-                    _decoder_for(c2, args.budget), received, d_sr)
+    res = sr_decode(code, make_decoder(c1, budget=args.budget),
+                    make_decoder(c2, budget=args.budget), received, d_sr)
     print(f"status {res.status}")
     branches = " ".join(f"{b}:{s}" for b, s in res.candidates_considered)
     print(f"branches {branches if branches else '-'}")
@@ -402,8 +397,8 @@ def cmd_simulate(args):
     code = sr_construct(c1, c2)
     weights = [int(t) for t in args.weights.split(",")]
     seed = args.seed if args.seed is not None else int(os.environ.get("SRCODES_SEED", "0"))
-    rows = simulate(code, _decoder_for(c1, args.budget), _decoder_for(c2, args.budget),
-                    weights, args.trials, seed=seed,
+    rows = simulate(code, make_decoder(c1, budget=args.budget),
+                    make_decoder(c2, budget=args.budget), weights, args.trials, seed=seed,
                     d_sr=args.d_sr or None, jobs=args.jobs)
     out = []
     for r in rows:
@@ -501,7 +496,8 @@ def build_parser():
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--d-sr", type=int, default=0)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="accepted for compatibility; has no effect")
     sp.add_argument("--budget", type=int, default=1 << 22)
     sp.add_argument("--no-timing", action="store_true",
                     help="zero the timing column for byte-reproducible output")

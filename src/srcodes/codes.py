@@ -626,22 +626,39 @@ def goppa_pair_dimension(m, d_sr):
 # exhaustive minimum distance
 # ----------------------------------------------------------------------
 
-def iter_codeword_chunks(code, chunk_bits=16):
+_CHUNK_BITS = 16
+_MATERIALIZE_LIMIT = 1 << 18
+
+
+def iter_codeword_chunks(code):
     """Yield (chunk, holds_zero) numpy uint8 arrays covering every codeword.
 
-    The all-zero codeword appears exactly once, as row 0 of the first chunk.
-    Deterministic regardless of chunking.
+    The all-zero codeword appears exactly once, as row 0 of the first chunk,
+    and the rows always come in the same order.  A code of at most 2^18
+    words is built once, cached read-only on the code, and yielded as a
+    single chunk; larger codes are generated 2^16 words at a time.
     """
+    matrix = getattr(code, "_codeword_matrix", None)
+    if matrix is None and code.size() <= _MATERIALIZE_LIMIT:
+        matrix = np.concatenate([c for c, _ in _generate_chunks(code)])
+        matrix.setflags(write=False)
+        code._codeword_matrix = matrix
+    if matrix is not None:
+        yield matrix, True
+    else:
+        yield from _generate_chunks(code)
+
+
+def _generate_chunks(code):
+    # low generators span the chunk; high ones step through a Gray code
     gens = list(code.f2_generators)
     n = code.n
-    low = min(len(gens), chunk_bits)
+    low = min(len(gens), _CHUNK_BITS)
     W = np.zeros((1, n), dtype=np.uint8)
     for g in gens[:low]:
         ga = np.frombuffer(g, dtype=np.uint8)
         W = np.concatenate([W, W ^ ga])
     yield W, True
-    if len(gens) == low:
-        return
     high = np.zeros(n, dtype=np.uint8)
     for i in range(1, 1 << (len(gens) - low)):
         bit = (i & -i).bit_length() - 1

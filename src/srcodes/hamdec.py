@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError
+from .errors import BudgetError, ConfigError, RangeError
 from .gf2m import (gf4_embedding, poly_deg, poly_derivative, poly_eea, poly_eval,
                    poly_gcd, poly_trim)
 from .codes import cyclotomic_coset, iter_codeword_chunks
@@ -108,9 +108,12 @@ class BchDecoder:
         if len(word) != self.n:
             raise ConfigError(f"received length {len(word)} != {self.n}")
         acc = 0
-        for per_sym, sym in zip(self._contrib, word):
-            if sym:
-                acc ^= per_sym[sym]
+        try:
+            for per_sym, sym in zip(self._contrib, word):
+                if sym:
+                    acc ^= per_sym[sym]
+        except IndexError:
+            raise RangeError("received symbol outside GF(4)") from None
         return acc
 
     def is_codeword(self, word):
@@ -348,11 +351,17 @@ class GoppaDecoder:
         self._contrib = contrib
 
     def _syndrome(self, word):
+        if len(word) != self.n:
+            raise ConfigError(f"received length {len(word)} != {self.n}")
         acc = 0
         contrib = self._contrib
-        for i, sym in enumerate(word):
-            if sym:
-                acc ^= contrib[i][sym]
+        try:
+            for i, sym in enumerate(word):
+                if sym:
+                    acc ^= contrib[i][sym]
+        except IndexError:
+            raise RangeError("received symbol outside GF(%d)"
+                             % (2 if self.binary else 4)) from None
         return acc
 
     def is_codeword(self, word):
@@ -360,8 +369,6 @@ class GoppaDecoder:
 
     def decode(self, received):
         n = self.n
-        if len(received) != n:
-            raise ConfigError(f"received length {len(received)} != {n}")
         F = self.field
         acc = self._syndrome(received)
         if acc == 0:
@@ -403,26 +410,14 @@ class GoppaDecoder:
 
 
 ORACLE_BUDGET = 1 << 22
-_MATERIALIZE_LIMIT = 1 << 18
 
 
 def _nearest_codeword(code, received, budget):
-    """Scan every codeword; returns (word, distance, tie).  The codeword
-    matrix is cached on the code when small enough to materialize."""
+    """Scan every codeword; returns (word, distance, tie)."""
     size = code.size()
     if size > budget:
         raise BudgetError(f"{size} codewords exceed the budget {budget}")
     rec = np.frombuffer(bytes(received), dtype=np.uint8)
-    matrix = getattr(code, "_codeword_matrix", None)
-    if matrix is None and size <= _MATERIALIZE_LIMIT:
-        chunks = [c for c, _ in iter_codeword_chunks(code)]
-        matrix = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-        code._codeword_matrix = matrix
-    if matrix is not None:
-        dist = np.count_nonzero(matrix != rec, axis=1)
-        i = int(np.argmin(dist))
-        dmin = int(dist[i])
-        return bytes(matrix[i]), dmin, int(np.count_nonzero(dist == dmin)) > 1
     best, word, ties = None, None, False
     for chunk, _ in iter_codeword_chunks(code):
         dist = np.count_nonzero(chunk != rec, axis=1)

@@ -22,9 +22,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError, RangeError
+from .errors import ConfigError, RangeError
 from .gf2m import vec_scale, vec_xor
-from .sumrank import SrWord, sr_zero, sumrank_weight_formula, _component_words
+from .sumrank import SrWord, sr_sweep, sr_zero, sumrank_weight_formula
 
 _BETA_SQ = {1: 1, 2: 3, 3: 2}
 
@@ -143,32 +143,9 @@ def sr_oracle_decode(code, received, budget=1 << 22):
 
     Ties for the minimum distance come back as the ambiguous state.
     """
-    if 1 << code.f2_dimension > budget:
-        raise BudgetError(
-            f"2^{code.f2_dimension} codewords exceed the budget {budget}")
-    r2 = np.frombuffer(received.coeff_x, dtype=np.uint8)
-    r1 = np.frombuffer(received.coeff_x2, dtype=np.uint8)
-    w1_all = _component_words(code.c1)
-    w2_all = _component_words(code.c2)
-    d2 = w2_all ^ r2
-    nz2 = d2 != 0
-    wt2 = 2 * np.count_nonzero(nz2, axis=1)
-    best, tie, arg = None, False, None
-    for a1 in w1_all:
-        diff1 = a1 ^ r1
-        nz1 = diff1 != 0
-        w = 2 * int(np.count_nonzero(nz1)) + wt2 - 3 * np.count_nonzero(nz2 & nz1, axis=1)
-        i = int(np.argmin(w))
-        ties_here = int(np.count_nonzero(w == w[i]))
-        if best is None or w[i] < best:
-            best = int(w[i])
-            arg = (bytes(w2_all[i]), bytes(a1))
-            tie = ties_here > 1
-        elif w[i] == best:
-            tie = True
+    _, tie, codeword = sr_sweep(code, received, budget)
     if tie:
         return SrDecodeResult(STATUS_AMBIGUOUS)
-    codeword = SrWord(*arg)
     error = SrWord(vec_xor(received.coeff_x, codeword.coeff_x),
                    vec_xor(received.coeff_x2, codeword.coeff_x2))
     return SrDecodeResult(STATUS_SUCCESS, codeword=codeword, error=error)
@@ -231,67 +208,40 @@ def min_branch_weight(e0, e1):
 # channel simulation
 # ----------------------------------------------------------------------
 
-def _run_trial(code, dec1, dec2, d_sr, seed, w, trial):
-    rng = np.random.default_rng((seed, w, trial))
-    bits = [int(b) for b in rng.integers(0, 2, size=code.f2_dimension)]
-    sent = code.encode(bits)
-    err = sample_error(code.n, w, rng)
-    received = sent + err
-    t0 = time.perf_counter()
-    res = sr_decode(code, dec1, dec2, received, d_sr)
-    micros = (time.perf_counter() - t0) * 1e6
-    if res.ok and res.codeword == sent:
-        outcome = "success"
-    elif res.status == STATUS_AMBIGUOUS:
-        outcome = "ambiguous"
-    elif res.ok:
-        outcome = "miscorrection"
-    else:
-        outcome = "failure"
-    return outcome, micros, res.dec1_calls, res.dec2_calls
-
-
 def simulate(code, dec1, dec2, weights, trials, seed=0, d_sr=None, jobs=1):
     """Monte Carlo channel runs; returns one tally row per weight.
 
     Per-trial generators are seeded counter-style from (seed, weight, trial)
-    so the tallies do not depend on scheduling or job count.
+    so the tallies depend only on the seed.  Trials run in this process;
+    jobs is accepted for compatibility and has no effect.
     """
     if d_sr is None:
         d_sr = code.d_sr_lower
     _check_config(code, dec1, dec2, d_sr)
     rows = []
-    work = [(w, t) for w in weights for t in range(trials)]
-    results = {}
-    if jobs and jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futs = {pool.submit(_run_trial, code, dec1, dec2, d_sr, seed, w, t): (w, t)
-                    for w, t in work}
-            for f, key in futs.items():
-                results[key] = f.result()
-    else:
-        for w, t in work:
-            results[(w, t)] = _run_trial(code, dec1, dec2, d_sr, seed, w, t)
     for w in weights:
         tally = {"weight": w, "trials": trials, "success": 0, "failure": 0,
                  "ambiguous": 0, "miscorrections": 0, "mean_decode_micros": 0.0,
                  "dec1_calls_max": 0, "dec2_calls_max": 0}
         total_us = 0.0
         for t in range(trials):
-            outcome, micros, c1calls, c2calls = results[(w, t)]
-            total_us += micros
-            tally["dec1_calls_max"] = max(tally["dec1_calls_max"], c1calls)
-            tally["dec2_calls_max"] = max(tally["dec2_calls_max"], c2calls)
-            if outcome == "success":
+            rng = np.random.default_rng((seed, w, t))
+            bits = [int(b) for b in rng.integers(0, 2, size=code.f2_dimension)]
+            sent = code.encode(bits)
+            received = sent + sample_error(code.n, w, rng)
+            t0 = time.perf_counter()
+            res = sr_decode(code, dec1, dec2, received, d_sr)
+            total_us += (time.perf_counter() - t0) * 1e6
+            tally["dec1_calls_max"] = max(tally["dec1_calls_max"], res.dec1_calls)
+            tally["dec2_calls_max"] = max(tally["dec2_calls_max"], res.dec2_calls)
+            if res.ok and res.codeword == sent:
                 tally["success"] += 1
-            elif outcome == "ambiguous":
+            elif res.status == STATUS_AMBIGUOUS:
                 tally["ambiguous"] += 1
-            elif outcome == "miscorrection":
-                tally["miscorrections"] += 1
-                tally["failure"] += 1
             else:
                 tally["failure"] += 1
+                if res.ok:
+                    tally["miscorrections"] += 1
         tally["mean_decode_micros"] = total_us / max(trials, 1)
         rows.append(tally)
     return rows

@@ -175,6 +175,8 @@ class SumRankCode:
         if len(bits) != self.f2_dimension:
             raise RangeError(
                 f"message length {len(bits)} != F2 dimension {self.f2_dimension}")
+        if bits.count(0) + bits.count(1) != len(bits):
+            raise RangeError("message bits must be 0 or 1")
         cut = _f2_dim(self.c1)
         return bits[:cut], bits[cut:]
 
@@ -199,7 +201,7 @@ def _encode_f2(code, bits):
     """Encode GF(2) message bits; linear codes take bit pairs per symbol."""
     if isinstance(code, AdditiveCode):
         return code.encode(bits)
-    syms = [bits[2 * i] | bits[2 * i + 1] << 1 for i in range(len(bits) // 2)]
+    syms = [lo | hi << 1 for lo, hi in zip(bits[0::2], bits[1::2])]
     return code.encode(syms)
 
 
@@ -208,13 +210,41 @@ def sr_construct(c1, c2):
     return SumRankCode(c1, c2)
 
 
-def sr_encode(code, bits):
-    return code.encode(bits)
+def sr_sweep(code, received, budget, exclude_zero=False):
+    """Nearest codeword to received in the sum-rank metric, by enumeration.
 
-
-def _component_words(code):
-    chunks = [c for c, _ in iter_codeword_chunks(code)]
-    return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+    Visits the C1 words one at a time and takes the closed-form weight
+    against every C2 word at once; the first minimum in that order is the
+    witness.  exclude_zero drops the all-zero pair.  Returns (distance,
+    tie, witness SrWord), with tie set when the minimum is not unique.
+    """
+    if 1 << code.f2_dimension > budget:
+        raise BudgetError(
+            f"2^{code.f2_dimension} codewords exceed the budget {budget}")
+    r1 = np.frombuffer(received.coeff_x2, dtype=np.uint8)
+    r2 = np.frombuffer(received.coeff_x, dtype=np.uint8)
+    c2_chunks = []
+    for w2, holds_zero2 in iter_codeword_chunks(code.c2):
+        nz2 = w2 != r2
+        c2_chunks.append((w2, nz2, 2 * np.count_nonzero(nz2, axis=1), holds_zero2))
+    best, tie, witness = None, False, None
+    for w1, holds_zero1 in iter_codeword_chunks(code.c1):
+        nz1_rows = w1 != r1
+        wt1_rows = 2 * np.count_nonzero(nz1_rows, axis=1)
+        for j, nz1 in enumerate(nz1_rows):
+            wt1 = int(wt1_rows[j])
+            for w2, nz2, wt2, holds_zero2 in c2_chunks:
+                w = wt1 + wt2 - 3 * np.count_nonzero(nz2 & nz1, axis=1)
+                if exclude_zero and holds_zero1 and holds_zero2 and j == 0:
+                    w[0] = 10 ** 9
+                i = int(np.argmin(w))
+                wi = int(w[i])
+                if best is None or wi < best:
+                    best, witness = wi, SrWord(bytes(w2[i]), bytes(w1[j]))
+                    tie = int(np.count_nonzero(w == wi)) > 1
+                elif wi == best:
+                    tie = True
+    return best, tie, witness
 
 
 def sr_min_distance_bruteforce(code, budget=1 << 22):
@@ -225,24 +255,7 @@ def sr_min_distance_bruteforce(code, budget=1 << 22):
     """
     if code.f2_dimension == 0:
         raise ValueError("the zero code has no minimum distance")
-    if 1 << code.f2_dimension > budget:
-        raise BudgetError(
-            f"2^{code.f2_dimension} codewords exceed the budget {budget}")
-    w1_all = _component_words(code.c1)
-    w2_all = _component_words(code.c2)
-    nz2 = w2_all != 0
-    wt2 = 2 * np.count_nonzero(nz2, axis=1)
-    best, witness = None, None
-    for a1 in w1_all:
-        nz1 = a1 != 0
-        wt1 = 2 * int(np.count_nonzero(nz1))
-        w = wt1 + wt2 - 3 * np.count_nonzero(nz2 & nz1, axis=1)
-        if wt1 == 0:
-            w[0] = 10 ** 9  # skip the all-zero pair
-        i = int(np.argmin(w))
-        if best is None or w[i] < best:
-            best = int(w[i])
-            witness = SrWord(bytes(w2_all[i]), bytes(a1))
+    best, _, witness = sr_sweep(code, sr_zero(code.n), budget, exclude_zero=True)
     lower = code.d_sr_lower
     if lower is not None and lower != math.inf and best < lower:
         raise AssertionError("certified distance fell below the construction bound")

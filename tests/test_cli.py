@@ -84,6 +84,23 @@ def test_corrupt_files_rejected():
                   "dmin 1 declared\nrow 123\n")  # dimension mismatch
 
 
+def test_missing_lines_exit_code(tmp_path, capsys):
+    code_text = dump_code(bch_build(15, (1, 6)))
+    c1 = tmp_path / "c1.code"
+    c1.write_text(code_text)
+    no_length = tmp_path / "no_length.code"
+    no_length.write_text(code_text.replace("length 15\n", ""))
+    assert main(["build-sr", "--c1", str(c1), "--c2", str(no_length)]) == 1
+    word_text = dump_word(SrWord(bytes(15), bytes(15)))
+    for key in ("length", "x", "x2"):
+        word = tmp_path / f"no_{key}.word"
+        word.write_text("".join(line + "\n" for line in word_text.splitlines()
+                                if line.split(" ")[0] != key))
+        assert main(["decode", "--c1", str(c1), "--c2", str(c1),
+                     "--word", str(word)]) == 1
+    assert "missing 'x2' line" in capsys.readouterr().err
+
+
 def test_packaged_data_codes():
     add = packaged_code("additive_12_f2dim7_d8.code")
     assert add.f2_dimension == 7 and add.n == 12

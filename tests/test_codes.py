@@ -112,6 +112,13 @@ def test_bch_designed_distance_sound_on_bruteforceable():
     assert sum(1 for s in witness if s) == 6
 
 
+def test_min_distance_across_enumeration_chunks():
+    code = bch_build(15, DefiningSet.from_cosets(15, [0, 1, 2]))  # 2^20 words
+    d, witness = min_distance_bruteforce(code)
+    assert d == 4 and code.contains(witness)
+    assert sum(1 for s in witness if s) == d
+
+
 def test_designed_distance_sound_by_sampling_large_code():
     # [63,35,14] is far beyond enumeration; sampled codeword weights stand in
     rng = np.random.default_rng(12)

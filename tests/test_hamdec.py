@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from srcodes.errors import BudgetError, ConfigError
+from srcodes.errors import BudgetError, ConfigError, RangeError
 from srcodes.gf2m import GF2, GF4, build_field
 from srcodes.codes import (
     DefiningSet,
@@ -136,6 +136,15 @@ def test_goppa_binary_exhaustive_small_weights():
         assert res.ok and res.codeword == cw and res.error == e
 
 
+def test_decoders_reject_symbols_outside_the_alphabet(bch15_dec):
+    with pytest.raises(RangeError):
+        bch15_dec.decode(bytes([4]) + bytes(14))
+    F = build_field(5)
+    code = goppa_build(F, list(F.elements()), find_irreducible(F, 3, seed=1), base=GF2)
+    with pytest.raises(RangeError):
+        GoppaDecoder(code).decode(bytes([2]) + bytes(31))
+
+
 def test_goppa_quaternary_single_errors():
     F = build_field(6)
     G = find_irreducible(F, 2, seed=2)
@@ -220,6 +229,23 @@ def test_bch_agrees_with_oracle_at_all_weights(n, spec):
         assert got.ok == want.ok and got.codeword == want.codeword
         outcomes.add((wt <= t, got.ok))
     assert {(True, True), (False, False)} <= outcomes
+
+
+def test_oracle_agrees_with_bch_across_enumeration_chunks():
+    # [15,10,4] has 2^20 codewords: too many to cache, so the oracle scans
+    # sixteen 2^16-word chunks
+    code = bch_build(15, DefiningSet.from_cosets(15, [0, 1, 2]))
+    assert code.size() == 1 << 20
+    dec = BchDecoder(code)
+    oracle = OracleDecoder(code, radius=dec.radius)
+    rng = np.random.default_rng(21)
+    for wt in (0, 1) * 6:
+        msg = [int(x) for x in rng.integers(0, 4, size=code.k)]
+        cw = code.encode(msg)
+        pos = rng.choice(15, size=wt, replace=False)
+        rec, _ = _add_error(cw, pos, rng.integers(1, 4, size=wt))
+        got, want = dec.decode(rec), oracle.decode(rec)
+        assert got.ok and want.ok and got.codeword == want.codeword == cw
 
 
 def test_oracle_tie_flag():

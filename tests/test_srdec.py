@@ -284,6 +284,18 @@ def test_simulate_deterministic(pair15):
             assert ra[key] == rb[key]
 
 
+def test_simulate_rows_do_not_depend_on_jobs(pair15):
+    # an oracle C2 decoder over 2^20 words scans every enumeration chunk
+    code, dec1, _ = pair15
+    dec2 = OracleDecoder(code.c2)
+    rows = [simulate(code, dec1, dec2, [0, 2], 3, seed=14, jobs=jobs)
+            for jobs in (1, 2)]
+    for row in rows[0] + rows[1]:
+        row.pop("mean_decode_micros")
+    assert rows[0] == rows[1]
+    assert rows[0][1]["success"] == 3
+
+
 def test_block25_pair_decodes_at_declared_distance():
     # true distance is 30 but d1 = 25 only supports a declared target of 25;
     # the decoder still corrects all 12 = floor((25-1)/2) sum-rank errors

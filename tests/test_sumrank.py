@@ -31,6 +31,7 @@ from srcodes.sumrank import (
     sumrank_weight_formula,
     sr_distance,
 )
+from srcodes.srdec import sr_oracle_decode
 
 
 # ----------------------------------------------------------------------
@@ -174,6 +175,9 @@ def test_sr_encode_properties():
         seen[bits] = word
     with pytest.raises(RangeError):
         code.encode([0])
+    for bad in (2, 5):
+        with pytest.raises(RangeError):
+            code.encode([bad] + [0] * (code.f2_dimension - 1))
 
 
 def test_sr_min_distance_block25():
@@ -185,6 +189,19 @@ def test_sr_min_distance_block25():
     assert d == 30 and code.d_sr_exact == 30
     assert sumrank_weight(witness) == 30
     assert code.contains(witness)
+
+
+def test_sr_sweep_across_enumeration_chunks():
+    # C2 = [15,10,4] has 2^20 words, so the sweep meets sixteen C2 chunks
+    rep = LinearCode(GF4, [bytes([1] * 15)], d_lower=15, d_tag="declared")
+    c2 = bch_build(15, DefiningSet.from_cosets(15, [0, 1, 2]))
+    code = sr_construct(rep, c2)
+    d, witness = sr_min_distance_bruteforce(code)
+    # a1 = 0 gives 2 wt(a2) >= 8; a nonzero a1 gives 30 - wt(a2) >= 15
+    assert d == 8 and sumrank_weight(witness) == 8 and code.contains(witness)
+    sent = code.encode([1, 0] + [0, 1] * 10)
+    received = sent + SrWord(bytes([0, 2] + [0] * 13), bytes(15))
+    assert sr_oracle_decode(code, received).codeword == sent
 
 
 def test_sr_min_distance_zero_component():
