@@ -145,6 +145,9 @@ def load_code(text):
     d_lower, tag = int(d_str), (tag or "declared")
 
     cons = extra.get("construction")
+    # fields counting the name: bch n leaders / goppa base m modulus
+    if cons and len(cons) < {"bch": 3, "goppa": 4}.get(cons[0], 0):
+        raise ConstructionError(f"construction {cons[0]} line has too few fields")
     if cons and cons[0] == "bch":
         cn = int(cons[1])
         leaders = [int(t) for t in cons[2].split(",")]

@@ -6,6 +6,10 @@ linear-code utilities (encoding, membership, scaling, exhaustive minimum
 distance).  Codewords are byte strings of symbol values.
 """
 
+from functools import reduce
+from itertools import compress
+from operator import xor
+
 import numpy as np
 
 from .errors import BudgetError, ConstructionError, RangeError
@@ -24,7 +28,6 @@ from .gf2m import (
     poly_mul,
     poly_trim,
     vec_scale,
-    vec_xor,
 )
 
 DEFAULT_BUDGET = 1 << 22
@@ -198,6 +201,8 @@ class LinearCode:
         self.d_exact = None
         self.bch_info = None
         self.goppa_info = None
+        # one int per GF(2) generator: XOR of the ints adds the vectors
+        self._packed = tuple(int.from_bytes(g, "big") for g in self.f2_generators)
 
     def _spot_check_parity(self):
         mul = self.base_field.mul
@@ -228,22 +233,19 @@ class LinearCode:
     @property
     def f2_generators(self):
         """GF(2)-generators: each row and, over GF(4), its w-multiple."""
-        out = []
-        for g in self.generator_matrix:
-            out.append(g)
-            if self.base_field.order == 4:
-                out.append(vec_scale(g, 2))
-        return out
+        scales = (1, 2) if self.base_field.order == 4 else (1,)
+        return [vec_scale(g, s) for g in self.generator_matrix for s in scales]
 
     def encode(self, message):
-        msg = list(message)
-        if len(msg) != self.k:
-            raise RangeError(f"message length {len(msg)} != k = {self.k}")
-        acc = bytes(self.n)
-        for sym, row in zip(msg, self.generator_matrix):
-            if sym:
-                acc = vec_xor(acc, vec_scale(row, sym) if sym != 1 else row)
-        return acc
+        """Sum of symbol_i * row_i: bit 0 of a symbol adds g, bit 1 adds w*g."""
+        msg = _checked_message(message, self.k, self.base_field.order)
+        if self.base_field.order == 4:
+            msg = [s >> j & 1 for s in msg for j in (0, 1)]
+        return _xor_selected(self._packed, msg, self.n)
+
+    def encode_f2(self, bits):
+        """Encode message bits, one per entry of f2_generators."""
+        return _xor_selected(self._packed, _checked_message(bits, self.f2_dimension), self.n)
 
     def syndrome(self, word):
         mul = self.base_field.mul
@@ -287,7 +289,8 @@ class AdditiveCode:
         self.d_tag = d_tag
         self.d_exact = None
         self.dropped = dropped
-        self._echelon = _gf2_echelon([_vec_bits(g) for g in self.f2_generators])
+        self._packed = tuple(int.from_bytes(g, "big") for g in self.f2_generators)
+        self._echelon = _gf2_echelon(self._packed)
 
     @property
     def base_field(self):
@@ -304,24 +307,18 @@ class AdditiveCode:
         return self.d_exact if self.d_exact is not None else self.d_designed
 
     def encode(self, bits):
-        bits = list(bits)
-        if len(bits) != self.f2_dimension:
-            raise RangeError(
-                f"message length {len(bits)} != f2 dimension {self.f2_dimension}")
-        acc = bytes(self.n)
-        for b, g in zip(bits, self.f2_generators):
-            if b:
-                acc = vec_xor(acc, g)
-        return acc
+        return _xor_selected(self._packed, _checked_message(bits, self.f2_dimension), self.n)
+
+    encode_f2 = encode
 
     def contains(self, word):
         if len(word) != self.n:
             return False
-        return _gf2_reduce(self._echelon, _vec_bits(bytes(word))) == 0
+        return not self.syndrome(word)
 
     def syndrome(self, word):
         # reduction residue doubles as a membership syndrome
-        return _gf2_reduce(self._echelon, _vec_bits(bytes(word)))
+        return _gf2_reduce(self._echelon, int.from_bytes(bytes(word), "big"))
 
     def size(self):
         return 1 << self.f2_dimension
@@ -331,12 +328,23 @@ class AdditiveCode:
         return f"({self.n}, 4^{self.f2_dimension / 2}, {d})_4 additive ({self.d_tag})"
 
 
-def _vec_bits(v):
-    """Pack a GF(4) byte vector into an int, two bits per position."""
-    acc = 0
-    for i, c in enumerate(v):
-        acc |= c << (2 * i)
-    return acc
+def _xor_selected(packed, bits, n):
+    """Sum of the packed rows whose bit is set, as an n-byte vector."""
+    return reduce(xor, compress(packed, bits), 0).to_bytes(n, "big")
+
+
+def _checked_message(message, length, order=2):
+    """The message as bytes; RangeError unless it has `length` symbols below order."""
+    msg = list(message)
+    if len(msg) != length:
+        raise RangeError(f"message length {len(msg)} != {length}")
+    try:
+        out = bytes(msg)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or out.translate(None, bytes(range(order))):
+        raise RangeError(f"message symbols must lie in 0..{order - 1}")
+    return out
 
 
 def _gf2_echelon(ints):
@@ -367,7 +375,7 @@ def additive_build(generators, d_lower=1, d_tag="declared"):
     n = len(gens[0]) if gens else 0
     kept, rows, dropped = [], [], 0
     for g in gens:
-        v = _gf2_reduce(rows, _vec_bits(g))
+        v = _gf2_reduce(rows, int.from_bytes(g, "big"))
         if v:
             rows.append(v)
             rows.sort(key=int.bit_length, reverse=True)

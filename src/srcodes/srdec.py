@@ -58,6 +58,12 @@ class SrDecodeResult:
 
 
 def _check_config(code, dec1, dec2, d_sr):
+    """Validate the declared distance against the components; return the radius."""
+    if d_sr is None:
+        d_sr = code.d_sr_lower
+    if d_sr is None or d_sr == float("inf") or d_sr != int(d_sr):
+        raise ConfigError("a finite declared decoding distance is required")
+    d_sr = int(d_sr)
     d1 = code.c1.d_lower or 0
     d2 = code.c2.d_lower or 0
     radius = (d_sr - 1) // 2
@@ -83,15 +89,14 @@ def sr_decode(code, dec1, dec2, received, d_sr=None):
     radius it returns a typed failure or, if two verified candidates tie,
     the ambiguous state - never a guess.
     """
-    if d_sr is None:
-        d_sr = code.d_sr_lower
-    if d_sr is None or d_sr == float("inf") or d_sr != int(d_sr):
-        raise ConfigError("a finite declared decoding distance is required")
-    d_sr = int(d_sr)
     radius = _check_config(code, dec1, dec2, d_sr)
     if received.length != code.n:
         raise ConfigError(f"received length {received.length} != {code.n}")
+    return _sr_decode(dec1, dec2, received, radius)
 
+
+def _sr_decode(dec1, dec2, received, radius):
+    """The body of sr_decode, for a configuration that has been checked."""
     res1 = dec1.decode(received.coeff_x2)
     if not res1.ok:
         return SrDecodeResult(STATUS_C1_FAILURE, dec1_calls=1,
@@ -174,23 +179,24 @@ def sample_error(length, w, rng):
     """
     if not 0 <= w <= 2 * length:
         raise RangeError(f"target weight {w} outside [0, {2 * length}]")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)  # a Generator comes back unchanged
     if w == 0:
         return sr_zero(length)
     profiles = error_profiles(length, w)
     i1, i2, i3 = profiles[rng.integers(len(profiles))]
-    positions = rng.choice(length, size=i1 + i2 + i3, replace=False)
+    positions = rng.choice(length, size=i1 + i2 + i3, replace=False).tolist()
     e0 = bytearray(length)
     e1 = bytearray(length)
-    vals = rng.integers(1, 4, size=i1 + i2 + 2 * i3)
-    vi = 0
-    for p in positions[:i1]:
-        e0[p] = vals[vi]; vi += 1
-    for p in positions[i1:i1 + i2]:
-        e1[p] = vals[vi]; vi += 1
-    for p in positions[i1 + i2:]:
-        e0[p] = vals[vi]; vi += 1
-        e1[p] = vals[vi]; vi += 1
+    # values in order: i1 for e0, i2 for e1, then an (e0, e1) pair per i3
+    vals = rng.integers(1, 4, size=i1 + i2 + 2 * i3).tolist()
+    for p, v in zip(positions[:i1], vals):
+        e0[p] = v
+    for p, v in zip(positions[i1:i1 + i2], vals[i1:]):
+        e1[p] = v
+    pairs = vals[i1 + i2:]
+    for p, v0, v1 in zip(positions[i1 + i2:], pairs[0::2], pairs[1::2]):
+        e0[p] = v0
+        e1[p] = v1
     return SrWord(bytes(e0), bytes(e1))
 
 
@@ -212,12 +218,11 @@ def simulate(code, dec1, dec2, weights, trials, seed=0, d_sr=None, jobs=1):
     """Monte Carlo channel runs; returns one tally row per weight.
 
     Per-trial generators are seeded counter-style from (seed, weight, trial)
-    so the tallies depend only on the seed.  Trials run in this process;
-    jobs is accepted for compatibility and has no effect.
+    so the tallies depend only on the seed.  The configuration is checked
+    once per call.  Trials run in this process; jobs is accepted for
+    compatibility and has no effect.
     """
-    if d_sr is None:
-        d_sr = code.d_sr_lower
-    _check_config(code, dec1, dec2, d_sr)
+    radius = _check_config(code, dec1, dec2, d_sr)
     rows = []
     for w in weights:
         tally = {"weight": w, "trials": trials, "success": 0, "failure": 0,
@@ -226,11 +231,10 @@ def simulate(code, dec1, dec2, weights, trials, seed=0, d_sr=None, jobs=1):
         total_us = 0.0
         for t in range(trials):
             rng = np.random.default_rng((seed, w, t))
-            bits = [int(b) for b in rng.integers(0, 2, size=code.f2_dimension)]
-            sent = code.encode(bits)
+            sent = code.encode(rng.integers(0, 2, size=code.f2_dimension).tolist())
             received = sent + sample_error(code.n, w, rng)
             t0 = time.perf_counter()
-            res = sr_decode(code, dec1, dec2, received, d_sr)
+            res = _sr_decode(dec1, dec2, received, radius)
             total_us += (time.perf_counter() - t0) * 1e6
             tally["dec1_calls_max"] = max(tally["dec1_calls_max"], res.dec1_calls)
             tally["dec2_calls_max"] = max(tally["dec2_calls_max"], res.dec2_calls)

@@ -112,12 +112,6 @@ def sr_distance(u, v):
 # the SR(C1, C2) construction
 # ----------------------------------------------------------------------
 
-def _f2_dim(code):
-    if isinstance(code, AdditiveCode):
-        return code.f2_dimension
-    return 2 * code.k
-
-
 def _check_component(code, name):
     if isinstance(code, AdditiveCode):
         return
@@ -142,7 +136,7 @@ class SumRankCode:
         self.c1 = c1
         self.c2 = c2
         self.n = c1.n
-        self.f2_dimension = _f2_dim(c1) + _f2_dim(c2)
+        self.f2_dimension = c1.f2_dimension + c2.f2_dimension
         self.d_sr_exact = None
 
     @property
@@ -171,18 +165,17 @@ class SumRankCode:
         return d is not None and d != math.inf and self.decoder_ready_for(d)
 
     def split_message(self, bits):
+        """The C1 and C2 parts of a message; the components check the bits."""
         bits = list(bits)
         if len(bits) != self.f2_dimension:
             raise RangeError(
                 f"message length {len(bits)} != F2 dimension {self.f2_dimension}")
-        if bits.count(0) + bits.count(1) != len(bits):
-            raise RangeError("message bits must be 0 or 1")
-        cut = _f2_dim(self.c1)
+        cut = self.c1.f2_dimension
         return bits[:cut], bits[cut:]
 
     def encode(self, bits):
         b1, b2 = self.split_message(bits)
-        return SrWord(_encode_f2(self.c2, b2), _encode_f2(self.c1, b1))
+        return SrWord(self.c2.encode_f2(b2), self.c1.encode_f2(b1))
 
     def contains(self, word):
         return (self.c1.contains(word.coeff_x2)
@@ -195,14 +188,6 @@ class SumRankCode:
         d = self.d_sr_exact if self.d_sr_exact is not None else self.d_sr_lower
         return (f"SR(l={self.n}, dim_F2={self.f2_dimension}, "
                 f"d_sr{'=' if self.d_sr_exact is not None else '>='}{d})")
-
-
-def _encode_f2(code, bits):
-    """Encode GF(2) message bits; linear codes take bit pairs per symbol."""
-    if isinstance(code, AdditiveCode):
-        return code.encode(bits)
-    syms = [lo | hi << 1 for lo, hi in zip(bits[0::2], bits[1::2])]
-    return code.encode(syms)
 
 
 def sr_construct(c1, c2):
@@ -284,7 +269,7 @@ class HammingEmbedding:
         self.code = code
         self.mode = mode
         self.block_length = code.n if mode == "pad" else code.n // 2
-        self.f2_dimension = _f2_dim(code)
+        self.f2_dimension = code.f2_dimension
         d = code.d_lower
         self.d_sr_lower = d if mode == "pad" else (d + 1) // 2 if d else d
         self.rate_sr = self.f2_dimension / (4 * self.block_length)
@@ -301,7 +286,7 @@ class HammingEmbedding:
         return from_matrices(mats)
 
     def encode(self, bits):
-        return self.embed_word(_encode_f2(self.code, list(bits)))
+        return self.embed_word(self.code.encode_f2(bits))
 
 
 def hamming_embed(code, mode):

@@ -101,6 +101,20 @@ def test_missing_lines_exit_code(tmp_path, capsys):
     assert "missing 'x2' line" in capsys.readouterr().err
 
 
+def test_short_construction_line_exit_code(tmp_path):
+    from srcodes.errors import ConstructionError
+    good = tmp_path / "c1.code"
+    good.write_text(dump_code(bch_build(15, (1, 6))))
+    for short in ("construction bch", "construction bch 15", "construction goppa gf2 5"):
+        text = "".join(line + "\n" if not line.startswith("construction") else short + "\n"
+                       for line in good.read_text().splitlines())
+        with pytest.raises(ConstructionError):
+            load_code(text)
+        bad = tmp_path / "short.code"
+        bad.write_text(text)
+        assert main(["build-sr", "--c1", str(good), "--c2", str(bad)]) == 1
+
+
 def test_packaged_data_codes():
     add = packaged_code("additive_12_f2dim7_d8.code")
     assert add.f2_dimension == 7 and add.n == 12

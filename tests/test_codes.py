@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from srcodes.errors import BudgetError, ConstructionError, RangeError
-from srcodes.gf2m import GF2, GF4, build_field, gf4_embedding, poly_eval
+from srcodes.gf2m import GF2, GF4, build_field, gf4_embedding, poly_eval, vec_scale, vec_xor
 from srcodes.codes import (
     DefiningSet,
     LinearCode,
@@ -300,6 +301,66 @@ def test_encode_length_mismatch():
     code = bch_build(15, (1, 6))
     with pytest.raises(RangeError):
         code.encode([0] * (code.k + 1))
+
+
+def test_encode_rejects_symbols_outside_the_alphabet():
+    code = bch_build(15, (1, 6))
+    for bad in (4, -1, 256, 1.0):
+        with pytest.raises(RangeError):
+            code.encode([bad] + [0] * (code.k - 1))
+    F = build_field(5)
+    binary = goppa_build(F, None, find_irreducible(F, 3, seed=1), base=GF2)
+    with pytest.raises(RangeError):
+        binary.encode([2] + [0] * (binary.k - 1))
+    add = as_additive(code)
+    for bad in (2, -1):
+        with pytest.raises(RangeError):
+            add.encode([bad] + [0] * (add.f2_dimension - 1))
+        with pytest.raises(RangeError):
+            code.encode_f2([bad] + [0] * (code.f2_dimension - 1))
+
+
+def _encoding_codes():
+    F = build_field(5)
+    bch = bch_build(15, (1, 6))
+    return {
+        "bch15-gf4": bch,
+        "bch63-gf4": bch_build(63, DefiningSet.from_cosets(63, [0, 1, 2, 3, 5])),
+        "goppa32-gf2": goppa_build(F, None, find_irreducible(F, 3, seed=1), base=GF2),
+        "goppa64-gf4": goppa_build(build_field(6), None,
+                                   find_irreducible(build_field(6), 2, seed=2), base=GF4),
+        "additive-of-bch15": as_additive(bch),
+        "additive-random": additive_build(
+            [bytes(int(x) for x in np.random.default_rng(s).integers(0, 4, size=12))
+             for s in range(9)]),
+    }
+
+
+ENCODING_CODES = _encoding_codes()
+
+
+@pytest.mark.parametrize("name", sorted(ENCODING_CODES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_packed_encode_matches_row_sums(name, data):
+    # reference: one vec_scale and one vec_xor per message symbol or bit
+    code = ENCODING_CODES[name]
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=code.f2_dimension,
+                              max_size=code.f2_dimension))
+    expected = bytes(code.n)
+    for b, g in zip(bits, code.f2_generators):
+        if b:
+            expected = vec_xor(expected, g)
+    assert code.encode_f2(bits) == expected
+    if hasattr(code, "generator_matrix"):
+        q = code.base_field.order
+        syms = data.draw(st.lists(st.integers(0, q - 1), min_size=code.k, max_size=code.k))
+        expected = bytes(code.n)
+        for s, row in zip(syms, code.generator_matrix):
+            expected = vec_xor(expected, vec_scale(row, s))
+        assert code.encode(syms) == expected
+    else:
+        assert code.encode(bits) == code.encode_f2(bits)
 
 
 def test_min_distance_budget():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -294,6 +295,38 @@ def test_simulate_rows_do_not_depend_on_jobs(pair15):
         row.pop("mean_decode_micros")
     assert rows[0] == rows[1]
     assert rows[0][1]["success"] == 3
+
+
+class _Recording:
+    """A component decoder that feeds every word it is given to a hash."""
+
+    def __init__(self, dec, log):
+        self.code, self.radius, self._dec, self._log = dec.code, dec.radius, dec, log
+
+    def decode(self, word):
+        self._log.update(word)
+        return self._dec.decode(word)
+
+
+def test_simulate_golden_rows(pair15):
+    # rows and the digest of every decoder input were recorded with the
+    # per-symbol encode and the int()-list message draw that preceded the
+    # packed encode; a change in how the trials consume their generators
+    # or in the words they encode shows up here
+    code, dec1, dec2 = pair15
+    log = hashlib.md5()
+    rows = simulate(code, _Recording(dec1, log), _Recording(dec2, log),
+                    [0, 1, 2, 3], 200, seed=7)
+    for row in rows:
+        row.pop("mean_decode_micros")
+    assert log.hexdigest() == "f185db9b15970b841a0238ecd87650d5"
+    common = {"trials": 200, "ambiguous": 0, "miscorrections": 0, "dec1_calls_max": 1}
+    assert rows == [
+        dict(common, weight=0, success=200, failure=0, dec2_calls_max=1),
+        dict(common, weight=1, success=200, failure=0, dec2_calls_max=1),
+        dict(common, weight=2, success=200, failure=0, dec2_calls_max=3),
+        dict(common, weight=3, success=0, failure=200, dec2_calls_max=3),
+    ]
 
 
 def test_block25_pair_decodes_at_declared_distance():
