@@ -535,7 +535,3 @@ def vec_scale(v, s):
 
 def vec_weight(v):
     return len(v) - v.count(0)
-
-
-def vec_support(v):
-    return {i for i, c in enumerate(v) if c}

@@ -16,15 +16,22 @@ the membership check; a candidate is verified by adding the syndromes of
 its few error positions.  BCH locators of degree one and two are read off
 directly (degree two by solving y^2 + y = c over a GF(2)-basis); higher
 degrees use a Chien scan that stops after the last root.
+
+The Goppa decoder runs on the same exp/log tables: extended Euclid on the
+syndrome polynomial keeps only the remainder and sigma's cofactor; the
+roots of sigma among all locators come from one numpy gather and XOR-reduce
+in the log domain; Forney values use Horner's rule; and the candidate is
+verified by adding the packed syndromes of its error positions.
 """
 
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import BudgetError, ConfigError, RangeError
-from .gf2m import (gf4_embedding, poly_deg, poly_derivative, poly_eea, poly_eval,
-                   poly_gcd, poly_trim)
+from .gf2m import (build_field, gf4_embedding, poly_deg, poly_derivative, poly_eea,
+                   poly_gcd, poly_mul, poly_trim)
 from .codes import cyclotomic_coset, iter_codeword_chunks
 
 SUCCESS = "success"
@@ -316,8 +323,7 @@ class GoppaDecoder:
         self.binary = info.base_order == 2
         squarefree = poly_deg(poly_gcd(F, G, poly_derivative(G))) == 0
         if self.binary and squarefree:
-            from .gf2m import poly_mul as _pm
-            self._modulus = _pm(F, G, G)
+            self._modulus = poly_mul(F, G, G)
             self.radius = r
         else:
             self._modulus = G
@@ -350,15 +356,27 @@ class GoppaDecoder:
             contrib.append(per_sym)
         self._contrib = contrib
 
+        # root scan tables: powlog[j, i] = j log(a_i) mod (2^m - 1), less
+        # 2^m - 1, so adding log(sigma_j) gives an index in [-(2^m - 1),
+        # 2^m - 1) that numpy wraps into the exp table.  The column of a
+        # locator 0 is a placeholder: sigma(0) is read off as sigma_0.
+        exp, log, om1 = F.exp, F.log, F.order - 1
+        self._exp, self._log, self._om1 = exp, log, om1
+        self._loga = [log[a] for a in self.locators]  # -1 for the locator 0
+        lga = np.array([max(la, 0) for la in self._loga], dtype=np.int64)
+        self._powlog = np.arange(self.radius + 1, dtype=np.int64)[:, None] * lga % om1 - om1
+        self._exp_table = _exp_table(F.m, F.modulus)
+        self._zero_at = self.locators.index(0) if 0 in self.locators else None
+        self._zero = bytes(self.n)
+
     def _syndrome(self, word):
         if len(word) != self.n:
             raise ConfigError(f"received length {len(word)} != {self.n}")
         acc = 0
-        contrib = self._contrib
         try:
-            for i, sym in enumerate(word):
+            for per_sym, sym in zip(self._contrib, word):
                 if sym:
-                    acc ^= contrib[i][sym]
+                    acc ^= per_sym[sym]
         except IndexError:
             raise RangeError("received symbol outside GF(%d)"
                              % (2 if self.binary else 4)) from None
@@ -367,46 +385,111 @@ class GoppaDecoder:
     def is_codeword(self, word):
         return self._syndrome(word) == 0
 
+    def _key_equation(self, S):
+        """(omega, sigma) from extended Euclid on (modulus, S), stopped at the
+        first remainder of degree below deg(modulus) - radius.
+
+        Each quotient term is applied to the remainder and to sigma's
+        cofactor as soon as it is found, so neither the quotient nor the
+        modulus's cofactor is kept; the results equal gf2m.poly_eea's.
+        """
+        exp, log, om1 = self._exp, self._log, self._om1
+        r0, r1 = list(self._modulus), S
+        v0, v1 = [], [1]
+        while len(r1) > self._stop:
+            d1 = len(r1) - 1
+            lead = log[r1[-1]]
+            # logs less om1, so that lc + lg lies in [-om1, om1)
+            rlog = [(j, log[c] - om1) for j, c in enumerate(r1) if c]
+            vlog = [(j, log[c] - om1) for j, c in enumerate(v1) if c]
+            v0 += [0] * (len(r0) - len(r1) + len(v1) - len(v0))
+            for top in range(len(r0) - 1, d1 - 1, -1):
+                c = r0[top]
+                if c:
+                    lc = (log[c] - lead) % om1
+                    s = top - d1
+                    for j, lg in rlog:
+                        r0[s + j] ^= exp[lc + lg]
+                    for j, lg in vlog:
+                        v0[s + j] ^= exp[lc + lg]
+            del r0[d1:]
+            r0, r1 = r1, poly_trim(r0)
+            v0, v1 = v1, v0
+        return r1, v1
+
+    def _roots(self, sigma):
+        """Positions i with sigma(a_i) = 0, for deg(sigma) <= radius."""
+        log = self._log
+        nz = [j for j, c in enumerate(sigma) if c]
+        ls = np.array([log[sigma[j]] for j in nz], dtype=np.int64)
+        v = np.bitwise_xor.reduce(self._exp_table[self._powlog[nz] + ls[:, None]], axis=0)
+        if self._zero_at is not None:
+            v[self._zero_at] = sigma[0]
+        return np.flatnonzero(v == 0).tolist()
+
     def decode(self, received):
-        n = self.n
-        F = self.field
         acc = self._syndrome(received)
         if acc == 0:
-            return HammingDecodeResult(bytes(received), bytes(n), SUCCESS)
+            return HammingDecodeResult(bytes(received), self._zero, SUCCESS)
         m, mask = self._m, self._mask
         S = poly_trim([(acc >> (j * m)) & mask for j in range(self._dM)])
 
-        omega, _, sigma = poly_eea(F, self._modulus, S, self._stop)
+        omega, sigma = self._key_equation(S)
         L = poly_deg(sigma)
         if L < 1 or L > self.radius:
             return _fail()
 
-        positions = [i for i, a in enumerate(self.locators)
-                     if poly_eval(F, sigma, a) == 0]
+        positions = self._roots(sigma)
         if len(positions) != L:
             return _fail()
 
-        err = bytearray(n)
-        if self.binary:
-            for i in positions:
-                err[i] = 1
-        else:
-            dsig = poly_derivative(sigma)
-            back = self._back
-            for i in positions:
-                a = self.locators[i]
-                den = poly_eval(F, dsig, a)
-                if den == 0:
+        # Forney values e_i = omega(a_i) / sigma'(a_i), by Horner's rule on
+        # the exp/log tables, with sigma'(x) = P(x^2) for P built from the
+        # odd coefficients; binary errors are all 1
+        exp, log, om1 = self._exp, self._log, self._om1
+        odd = sigma[1::2]
+        odd.reverse()
+        back = self._back
+        loga = self._loga
+        contrib = self._contrib
+        err = bytearray(self.n)
+        cand = bytearray(received)
+        for i in positions:
+            if self.binary:
+                val = 1
+            else:
+                la = loga[i]
+                if la < 0:  # the locator 0
+                    num, den = (omega[0] if omega else 0), sigma[1]
+                else:
+                    num = 0
+                    for c in reversed(omega):
+                        num = (exp[(log[num] + la) % om1] if num else 0) ^ c
+                    lz = 2 * la
+                    den = 0
+                    for c in odd:
+                        den = (exp[(log[den] + lz) % om1] if den else 0) ^ c
+                if den == 0 or num == 0:
                     return _fail()
-                val = back.get(F.div(poly_eval(F, omega, a), den))
-                if val is None or val == 0:
+                val = back.get(exp[(log[num] - log[den]) % om1])
+                if val is None:
                     return _fail()
-                err[i] = val
+            err[i] = val
+            cand[i] ^= val
+            acc ^= contrib[i][val]
 
-        cand = bytes(x ^ y for x, y in zip(received, err))
-        if not self.is_codeword(cand):
+        # S(received) + S(error) is the full syndrome of the candidate
+        if acc:
             return _fail(GUARD_TRIPPED)
-        return HammingDecodeResult(cand, bytes(err), SUCCESS)
+        return HammingDecodeResult(bytes(cand), bytes(err), SUCCESS)
+
+
+@lru_cache(maxsize=None)
+def _exp_table(m, modulus):
+    """GF(2^m)'s exp table as a read-only uint32 array, shared per field."""
+    table = np.array(build_field(m, modulus).exp, dtype=np.uint32)
+    table.flags.writeable = False
+    return table
 
 
 ORACLE_BUDGET = 1 << 22

@@ -18,6 +18,7 @@ harness with per-trial counter-mode seeding.
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -90,6 +91,9 @@ def sr_decode(code, dec1, dec2, received, d_sr=None):
     the ambiguous state - never a guess.
     """
     radius = _check_config(code, dec1, dec2, d_sr)
+    if len(received.coeff_x2) != received.length:
+        raise RangeError(f"received word has coefficient vectors of lengths "
+                         f"{received.length} and {len(received.coeff_x2)}")
     if received.length != code.n:
         raise ConfigError(f"received length {received.length} != {code.n}")
     return _sr_decode(dec1, dec2, received, radius)
@@ -162,6 +166,11 @@ def sr_oracle_decode(code, received, budget=1 << 22):
 
 def error_profiles(length, w):
     """Nonnegative (i1, i2, i3) with 2 i1 + 2 i2 + i3 = w, i1+i2+i3 <= length."""
+    return list(_error_profiles(length, w))
+
+
+@lru_cache(maxsize=1024)
+def _error_profiles(length, w):
     out = []
     for i3 in range(w % 2, w + 1, 2):
         rest = (w - i3) // 2
@@ -169,7 +178,7 @@ def error_profiles(length, w):
             i2 = rest - i1
             if i1 + i2 + i3 <= length:
                 out.append((i1, i2, i3))
-    return out
+    return tuple(out)
 
 
 def sample_error(length, w, rng):
@@ -182,7 +191,7 @@ def sample_error(length, w, rng):
     rng = np.random.default_rng(rng)  # a Generator comes back unchanged
     if w == 0:
         return sr_zero(length)
-    profiles = error_profiles(length, w)
+    profiles = _error_profiles(length, w)  # cached: simulate asks per trial
     i1, i2, i3 = profiles[rng.integers(len(profiles))]
     positions = rng.choice(length, size=i1 + i2 + i3, replace=False).tolist()
     e0 = bytearray(length)

@@ -2,9 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from srcodes.errors import BudgetError, ConfigError, RangeError
-from srcodes.gf2m import GF2, GF4, build_field
+from srcodes.gf2m import GF2, GF4, build_field, poly_eea, poly_eval, poly_mul
 from srcodes.codes import (
     DefiningSet,
     LinearCode,
@@ -134,6 +135,93 @@ def test_goppa_binary_exhaustive_small_weights():
         rec, e = _add_error(cw, pos, [1, 1, 1])
         res = dec.decode(rec)
         assert res.ok and res.codeword == cw and res.error == e
+
+
+@pytest.mark.parametrize("m, base, degree, locators, trials", [
+    (5, GF2, 3, slice(None), 300),    # binary, radius deg(G) through G^2
+    (4, GF4, 4, slice(0, 12), 3000),  # quaternary, the locator 0 included
+    (4, GF4, 4, slice(3, 15), 3000),  # quaternary, no locator 0
+], ids=["binary32", "quaternary12_with_0", "quaternary12_without_0"])
+def test_goppa_agrees_with_oracle_at_all_weights(m, base, degree, locators, trials):
+    # as for BCH: inside the radius both decoders recover the sent word;
+    # beyond it the Goppa decoder fails exactly when no codeword lies
+    # within the radius, and otherwise returns that unique codeword.  The
+    # quaternary codes have 256 codewords, so many trials are cheap, and
+    # about 1 in 300 of them trips the miscorrection guard
+    F = build_field(m)
+    G = find_irreducible(F, degree, seed=1)
+    code = goppa_build(F, list(F.elements())[locators], G, base=base)
+    dec = GoppaDecoder(code)
+    oracle = OracleDecoder(code, radius=dec.radius)
+    n, t, q = code.n, dec.radius, base.order
+    rng = np.random.default_rng(n + t)
+    outcomes = set()
+    for _ in range(trials):
+        msg = [int(x) for x in rng.integers(0, q, size=code.k)]
+        cw = code.encode(msg)
+        wt = int(rng.integers(0, t + 3))
+        pos = rng.choice(n, size=wt, replace=False)
+        rec, _ = _add_error(cw, pos, rng.integers(1, q, size=wt))
+        got, want = dec.decode(rec), oracle.decode(rec)
+        assert got.ok == want.ok and got.codeword == want.codeword
+        outcomes.add((wt <= t, got.ok))
+    assert {(True, True), (False, False)} <= outcomes
+
+
+def _root_scan_cases():
+    F6, F8 = build_field(6), build_field(8)
+    locators90 = [int(a) for a in np.random.default_rng(90).permutation(256)[:90]]
+    cases = {
+        # all 64 locators, 0 among them; radius 5
+        "binary64": goppa_build(F6, None, find_irreducible(F6, 5, seed=2), base=GF2),
+        # 90 shuffled locators, 0 not among them; radius 5
+        "quaternary90": goppa_build(F8, locators90, find_irreducible(F8, 10, seed=3),
+                                    base=GF4),
+    }
+    # irreducible factors of degree 2 and 3 have no roots in the field
+    return {name: (GoppaDecoder(code),
+                   [find_irreducible(code.goppa_info.field, d, seed=s)
+                    for d in (2, 3) for s in (0, 1)])
+            for name, code in cases.items()}
+
+
+ROOT_SCAN_CASES = _root_scan_cases()
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_SCAN_CASES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_goppa_root_scan_matches_brute_force(name, data):
+    # sigma = c * prod (x - a) over a locator subset, sometimes times a
+    # factor with no roots; reference: poly_eval at every locator
+    dec, rootless = ROOT_SCAN_CASES[name]
+    F = dec.field
+    n, t = dec.n, dec.radius
+    roots = data.draw(st.sets(st.integers(0, n - 1), max_size=t))
+    sigma = [data.draw(st.integers(1, F.order - 1))]
+    for i in roots:
+        sigma = poly_mul(F, sigma, [dec.locators[i], 1])
+    extra = [f for f in rootless if len(sigma) + len(f) - 2 <= t]
+    if extra and data.draw(st.booleans()):
+        sigma = poly_mul(F, sigma, data.draw(st.sampled_from(extra)))
+    brute = [i for i, a in enumerate(dec.locators) if poly_eval(F, sigma, a) == 0]
+    assert brute == sorted(roots)
+    assert dec._roots(sigma) == brute
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_SCAN_CASES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_goppa_key_equation_matches_poly_eea(name, data):
+    # reference: gf2m.poly_eea, which also keeps the quotient and the
+    # modulus's cofactor
+    dec, _ = ROOT_SCAN_CASES[name]
+    F = dec.field
+    # a syndrome polynomial of degree below deg(modulus)
+    S = (data.draw(st.lists(st.integers(0, F.order - 1), max_size=dec._dM - 1))
+         + [data.draw(st.integers(1, F.order - 1))])
+    omega, _, sigma = poly_eea(F, dec._modulus, S, dec._stop)
+    assert dec._key_equation(list(S)) == (omega, sigma)
 
 
 def test_decoders_reject_symbols_outside_the_alphabet(bch15_dec):

@@ -158,6 +158,13 @@ def test_config_errors(pair15):
         sr_decode(bad, dec1, BchDecoder(bad.c2), word, 6)  # d2 = 3 < 4
 
 
+def test_unequal_halves_are_a_range_error(pair15):
+    code, dec1, dec2 = pair15
+    for coeff_x, coeff_x2 in ((bytes(15), bytes(14)), (bytes(14), bytes(15))):
+        with pytest.raises(RangeError):
+            sr_decode(code, dec1, dec2, SrWord(coeff_x, coeff_x2), 6)
+
+
 # ----------------------------------------------------------------------
 # oracle
 # ----------------------------------------------------------------------
