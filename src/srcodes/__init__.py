@@ -23,7 +23,6 @@ from .gf2m import (
     poly_eval,
     poly_is_irreducible,
     poly_mul,
-    subfield_embed,
 )
 from .codes import (
     AdditiveCode,
@@ -46,7 +45,6 @@ from .hamdec import (
     GoppaDecoder,
     HammingDecodeResult,
     OracleDecoder,
-    external_decoder_load,
     make_decoder,
     oracle_decode,
 )

@@ -17,6 +17,8 @@ from .gf2m import (
     GF2,
     GF4,
     build_field,
+    gf2_insert,
+    gf2_reduce,
     gf4_embedding,
     gf4_expansion,
     poly_deg,
@@ -290,7 +292,9 @@ class AdditiveCode:
         self.d_exact = None
         self.dropped = dropped
         self._packed = tuple(int.from_bytes(g, "big") for g in self.f2_generators)
-        self._echelon = _gf2_echelon(self._packed)
+        self._echelon = []
+        for v in self._packed:
+            gf2_insert(self._echelon, v)
 
     @property
     def base_field(self):
@@ -318,7 +322,7 @@ class AdditiveCode:
 
     def syndrome(self, word):
         # reduction residue doubles as a membership syndrome
-        return _gf2_reduce(self._echelon, int.from_bytes(bytes(word), "big"))
+        return gf2_reduce(self._echelon, int.from_bytes(bytes(word), "big"))
 
     def size(self):
         return 1 << self.f2_dimension
@@ -347,23 +351,6 @@ def _checked_message(message, length, order=2):
     return out
 
 
-def _gf2_echelon(ints):
-    rows = []
-    for v in ints:
-        v = _gf2_reduce(rows, v)
-        if v:
-            rows.append(v)
-            rows.sort(key=int.bit_length, reverse=True)
-    return rows
-
-
-def _gf2_reduce(rows, v):
-    for r in rows:
-        if v.bit_length() == r.bit_length():
-            v ^= r
-    return v
-
-
 def additive_build(generators, d_lower=1, d_tag="declared"):
     """Reduce the given GF(4) vectors to a GF(2)-independent generator set.
 
@@ -373,16 +360,10 @@ def additive_build(generators, d_lower=1, d_tag="declared"):
     if gens and any(len(g) != len(gens[0]) for g in gens):
         raise ConstructionError("generators of unequal length")
     n = len(gens[0]) if gens else 0
-    kept, rows, dropped = [], [], 0
-    for g in gens:
-        v = _gf2_reduce(rows, int.from_bytes(g, "big"))
-        if v:
-            rows.append(v)
-            rows.sort(key=int.bit_length, reverse=True)
-            kept.append(g)
-        else:
-            dropped += 1
-    return AdditiveCode(n, kept, d_lower=d_lower, d_tag=d_tag, dropped=dropped)
+    rows = []
+    kept = [g for g in gens if gf2_insert(rows, int.from_bytes(g, "big"))]
+    return AdditiveCode(n, kept, d_lower=d_lower, d_tag=d_tag,
+                        dropped=len(gens) - len(kept))
 
 
 def as_additive(code):

@@ -267,15 +267,6 @@ SCALE4 = tuple(
 )
 
 
-def subfield_embed(a, target):
-    """Image of a GF(4) element in GF(4^h) = GF(2^(2h)).
-
-    w maps to g^s with s = (2^(2h)-1)/3, so the image generates the order-3
-    subgroup of the target's multiplicative group.
-    """
-    return gf4_embedding(target)[a]
-
-
 @lru_cache(maxsize=None)
 def _gf4_embedding_cached(m, modulus):
     target = build_field(m, modulus)
@@ -287,10 +278,34 @@ def _gf4_embedding_cached(m, modulus):
 
 
 def gf4_embedding(target):
-    """Tuple of the four GF(4) symbol images inside the target field."""
+    """Tuple of the four GF(4) symbol images inside the target field.
+
+    w maps to g^s with s = (2^m - 1)/3, so its image generates the order-3
+    subgroup of the target's multiplicative group.
+    """
     if target.m == 2:
         return (0, 1, 2, 3)
     return _gf4_embedding_cached(target.m, target.modulus)
+
+
+def gf2_reduce(rows, v):
+    """v, as a bit vector, reduced by an echelon kept by gf2_insert; zero
+    exactly when v lies in the rows' GF(2) span."""
+    for r in rows:
+        if v.bit_length() == r.bit_length():
+            v ^= r
+    return v
+
+
+def gf2_insert(rows, v):
+    """Add v to the echelon `rows` (sorted by decreasing bit length, one row
+    per leading bit); False, with rows unchanged, when v is in their span."""
+    v = gf2_reduce(rows, v)
+    if not v:
+        return False
+    rows.append(v)
+    rows.sort(key=int.bit_length, reverse=True)
+    return True
 
 
 class Gf4Expansion:
@@ -308,25 +323,10 @@ class Gf4Expansion:
         self.h = target.m // 2
         w_img = gf4_embedding(target)[2]
         basis = []
-        span_rows = []  # reduced GF(2)-echelon of {b, w*b} bit vectors
-
-        def reduce(v):
-            for r in span_rows:
-                if v.bit_length() == r.bit_length():
-                    v ^= r
-            return v
-
-        def insert(v):
-            v = reduce(v)
-            if v == 0:
-                return False
-            span_rows.append(v)
-            span_rows.sort(key=int.bit_length, reverse=True)
-            return True
-
+        span_rows = []  # GF(2)-echelon of the {b, w*b} bit vectors
         for cand in range(1, target.order):
             saved = list(span_rows)
-            if insert(cand) and insert(target.mul(w_img, cand)):
+            if gf2_insert(span_rows, cand) and gf2_insert(span_rows, target.mul(w_img, cand)):
                 basis.append(cand)
                 if len(basis) == self.h:
                     break
@@ -531,7 +531,3 @@ def vec_xor(a, b):
 def vec_scale(v, s):
     """Scale a GF(4) byte vector by the symbol s."""
     return v.translate(SCALE4[s])
-
-
-def vec_weight(v):
-    return len(v) - v.count(0)

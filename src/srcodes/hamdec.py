@@ -1,11 +1,12 @@
 """Bounded-distance decoders in the Hamming metric.
 
-One decoder interface covers quaternary BCH codes (syndromes, Berlekamp-
-Massey, root finding, Forney values), binary and quaternary Goppa codes
-(syndrome polynomial, key equation by extended Euclid), an exhaustive
-nearest-codeword oracle, and externally loaded codes.  Every successful
-decode is re-verified against the code before it is returned, so a wrong
-codeword is never handed to the caller.
+Quaternary BCH codes and binary and quaternary Goppa codes are alternant
+codes, and their decoders share one core: a packed syndrome, Forney values
+and a membership check.  Only the parity columns, the key-equation solver
+(Berlekamp-Massey for BCH, extended Euclid for Goppa) and the root search
+differ.  An exhaustive nearest-codeword oracle decodes every other code.
+Every successful decode is re-verified against the code before it is
+returned, so a wrong codeword is never handed to the caller.
 
 Syndrome evaluation packs all syndrome coordinates of one received symbol
 into a single integer (field addition is XOR, so whole syndrome vectors
@@ -18,10 +19,9 @@ directly (degree two by solving y^2 + y = c over a GF(2)-basis); higher
 degrees use a Chien scan that stops after the last root.
 
 The Goppa decoder runs on the same exp/log tables: extended Euclid on the
-syndrome polynomial keeps only the remainder and sigma's cofactor; the
+syndrome polynomial keeps only the remainder and sigma's cofactor, and the
 roots of sigma among all locators come from one numpy gather and XOR-reduce
-in the log domain; Forney values use Horner's rule; and the candidate is
-verified by adding the packed syndromes of its error positions.
+in the log domain.
 """
 
 from functools import lru_cache
@@ -54,62 +54,39 @@ def _fail(status=DECODE_FAILURE, tie=False):
     return HammingDecodeResult(None, None, status, tie)
 
 
-class BchDecoder:
-    """Decodes up to floor((delta-1)/2) errors of a quaternary BCH code."""
+class _AlgebraicDecoder:
+    """The part of alternant decoding that BCH and Goppa codes share.
 
-    method = "bch"
+    A subclass passes the parity column of each position and sets `radius`,
+    `_ptlog` and `_qlog`: the error value at position i is
+    e_i = omega(p_i) / (q_i * sigma'(p_i)), where _ptlog[i] = log p_i (-1
+    when p_i = 0) and _qlog[i] = log q_i.
+    """
 
-    def __init__(self, code):
-        if code.bch_info is None:
-            raise ConfigError("code was not built as a BCH code")
+    def __init__(self, code, field, img, columns):
         self.code = code
-        info = code.bch_info
-        F = info.field
-        n = code.n
-        self.field = F
-        self.n = n
-        self.b = info.b
-        self.delta = info.delta
-        self.nsyn = info.delta - 1
-        self.radius = (info.delta - 1) // 2
-        m = F.m
-        self._mask = (1 << m) - 1
-        img = gf4_embedding(F)
-        self._back = {img[s]: s for s in range(4)}
+        self.field = field
+        self.n = code.n
+        exp, log, om1 = field.exp, field.log, field.order - 1
+        self._exp, self._log, self._om1 = exp, log, om1
+        self._mask = (1 << field.m) - 1
+        self._back = {v: s for s, v in enumerate(img)}
+        self._zero = bytes(code.n)
 
-        exp, log, om1 = F.exp, F.log, F.order - 1
-        logg = log[info.alpha]
-
-        # packed per-position syndrome contributions: the designed run in
-        # the low nsyn*m bits, then one syndrome for each coset of the
-        # defining set that the run misses.  S_{4j} is the fourth power of
-        # S_j, so the packed syndromes all vanish exactly on codewords.
-        run = [self.b + j for j in range(self.nsyn)]
-        cosets = {cyclotomic_coset(j, 4, n) for j in info.defining_set.exponents}
-        powers = run + sorted(c[0] for c in cosets
-                              if not any(e % n in c for e in run))
+        # per position and symbol, the packed coefficients of sym * column,
+        # m bits per coefficient
         contrib = []
-        for i in range(n):
+        for col in columns:
+            logs = [(j * field.m, log[c]) for j, c in enumerate(col) if c]
             per_sym = [0]
-            for sym in (1, 2, 3):
-                ls = log[img[sym]]
+            for s in img[1:]:
+                ls = log[s]
                 acc = 0
-                for j, e in enumerate(powers):
-                    acc |= exp[(ls + logg * (e * i)) % om1] << (j * m)
+                for shift, lc in logs:
+                    acc |= exp[(ls + lc) % om1] << shift
                 per_sym.append(acc)
             contrib.append(per_sym)
         self._contrib = contrib
-        self._shifts = [j * m for j in range(self.nsyn)]
-        self._synmask = (1 << (self.nsyn * m)) - 1
-
-        # log of the locator alpha^i, and the locator value -> position i
-        self._logx = [(logg * i) % om1 for i in range(n)]
-        self._position = {exp[lx]: i for i, lx in enumerate(self._logx)}
-        self._exp, self._log, self._om1 = exp, log, om1
-        self._chien_logstep = [(-j * logg) % om1 for j in range(self.radius + 1)]
-        self._forney_logx = [(lx * (self.b - 1)) % om1 for lx in self._logx]
-        self._deg2_roots = _deg2_basis(F)
-        self._zero = bytes(n)
 
     def _syndrome(self, word):
         if len(word) != self.n:
@@ -120,14 +97,91 @@ class BchDecoder:
                 if sym:
                     acc ^= per_sym[sym]
         except IndexError:
-            raise RangeError("received symbol outside GF(4)") from None
+            raise RangeError("received symbol outside GF(%d)"
+                             % self.code.base_field.order) from None
         return acc
 
-    def is_codeword(self, word):
-        return self._syndrome(word) == 0
+    def _finish(self, received, acc, positions, omega, sigma):
+        """The candidate for errors at `positions`, or a failure.
+
+        Forney values use Horner's rule on the exp/log tables, with
+        sigma'(x) = P(x^2) for P built from sigma's odd coefficients; at
+        p_i = 0, sigma'(0) = sigma_1 and omega(0) = omega_0.  omega None
+        means every error value is 1.  `acc` is the packed syndrome of the
+        received word; adding those of the errors gives the candidate's.
+        """
+        exp, log, om1 = self._exp, self._log, self._om1
+        odd = sigma[1::2]
+        odd.reverse()
+        back, ptlog, qlog, contrib = self._back, self._ptlog, self._qlog, self._contrib
+        err = bytearray(self.n)
+        cand = bytearray(received)
+        for i in positions:
+            if omega is None:
+                val = 1
+            else:
+                lp = ptlog[i]
+                if lp < 0:
+                    num, den = (omega[0] if omega else 0), sigma[1]
+                else:
+                    num = 0
+                    for c in reversed(omega):
+                        num = (exp[(log[num] + lp) % om1] if num else 0) ^ c
+                    lz = 2 * lp
+                    den = 0
+                    for c in odd:
+                        den = (exp[(log[den] + lz) % om1] if den else 0) ^ c
+                if den == 0 or num == 0:
+                    return _fail()
+                val = back.get(exp[(log[num] - log[den] - qlog[i]) % om1])
+                if val is None:
+                    return _fail()
+            err[i] = val
+            cand[i] ^= val
+            acc ^= contrib[i][val]
+        if acc:
+            return _fail(GUARD_TRIPPED)
+        return HammingDecodeResult(bytes(cand), bytes(err), SUCCESS)
+
+
+class BchDecoder(_AlgebraicDecoder):
+    """Decodes up to floor((delta-1)/2) errors of a quaternary BCH code."""
+
+    method = "bch"
+
+    def __init__(self, code):
+        if code.bch_info is None:
+            raise ConfigError("code was not built as a BCH code")
+        info = code.bch_info
+        F = info.field
+        n = code.n
+        exp, log, om1 = F.exp, F.log, F.order - 1
+        logg = log[info.alpha]
+        self.nsyn = info.delta - 1
+        self.radius = (info.delta - 1) // 2
+
+        # the designed run in the low nsyn*m bits, then one syndrome for
+        # each coset of the defining set that the run misses.  S_{4j} is the
+        # fourth power of S_j, so the packed syndromes all vanish exactly on
+        # codewords.
+        run = [info.b + j for j in range(self.nsyn)]
+        cosets = {cyclotomic_coset(j, 4, n) for j in info.defining_set.exponents}
+        powers = run + sorted(c[0] for c in cosets
+                              if not any(e % n in c for e in run))
+        super().__init__(code, F, gf4_embedding(F),
+                         [[exp[logg * e * i % om1] for e in powers] for i in range(n)])
+        self._shifts = [j * F.m for j in range(self.nsyn)]
+        self._synmask = (1 << (self.nsyn * F.m)) - 1
+
+        # locator X_i = alpha^i, evaluated at p_i = X_i^-1 with q_i = X_i^(b-1)
+        logx = [(logg * i) % om1 for i in range(n)]
+        self._position = {exp[lx]: i for i, lx in enumerate(logx)}
+        self._ptlog = [-lx % om1 for lx in logx]
+        self._qlog = [(lx * (info.b - 1)) % om1 for lx in logx]
+        self._chien_logstep = [(-j * logg) % om1 for j in range(self.radius + 1)]
+        self._deg2_roots = _deg2_basis(F)
 
     def decode(self, received):
-        n = self.n
         acc = self._syndrome(received)
         if not acc:
             return HammingDecodeResult(bytes(received), self._zero, SUCCESS)
@@ -207,7 +261,7 @@ class BchDecoder:
             logstep = self._chien_logstep
             positions = []
             terms = sigma[:]
-            for i in range(n):
+            for i in range(self.n):
                 v = 0
                 for c in terms:
                     v ^= c
@@ -232,38 +286,7 @@ class BchDecoder:
                 for j in range(lfsr - i):
                     if S[j]:
                         omega[i + j] ^= exp[(la + LS[j]) % om1]
-
-        # Forney values: e = omega(X^-1) / (X^(b-1) * sigma'(X^-1)), with
-        # sigma'(x) = P(x^2) for P built from the odd coefficients
-        odd = sigma[1::2]
-        odd.reverse()
-        back = self._back
-        logx = self._logx
-        forney_logx = self._forney_logx
-        err = bytearray(n)
-        cand = bytearray(received)
-        for i in positions:
-            lxinv = -logx[i]
-            num = 0
-            for c in reversed(omega):
-                num = (exp[(log[num] + lxinv) % om1] if num else 0) ^ c
-            lz = 2 * lxinv
-            den = 0
-            for c in odd:
-                den = (exp[(log[den] + lz) % om1] if den else 0) ^ c
-            if den == 0 or num == 0:
-                return _fail()
-            val = back.get(exp[(log[num] - log[den] - forney_logx[i]) % om1])
-            if val is None:
-                return _fail()
-            err[i] = val
-            cand[i] ^= val
-            acc ^= self._contrib[i][val]
-
-        # S(received) + S(error) is the full syndrome of the candidate
-        if acc:
-            return _fail(GUARD_TRIPPED)
-        return HammingDecodeResult(bytes(cand), bytes(err), SUCCESS)
+        return self._finish(received, acc, positions, omega, sigma)
 
 
 def _deg2_basis(F):
@@ -300,7 +323,7 @@ def _deg2_basis(F):
     return [solve((1 << i) ^ a) if r is None else r for i, r in enumerate(roots)]
 
 
-class GoppaDecoder:
+class GoppaDecoder(_AlgebraicDecoder):
     """Key-equation decoder for Goppa codes.
 
     Binary codes with a squarefree polynomial are decoded through the
@@ -313,11 +336,8 @@ class GoppaDecoder:
     def __init__(self, code):
         if code.goppa_info is None:
             raise ConfigError("code was not built as a Goppa code")
-        self.code = code
         info = code.goppa_info
         F = info.field
-        self.field = F
-        self.n = code.n
         G = list(info.gpoly)
         r = poly_deg(G)
         self.binary = info.base_order == 2
@@ -331,59 +351,28 @@ class GoppaDecoder:
         dM = poly_deg(self._modulus)
         self._dM = dM
         self._stop = dM - self.radius
-        self._m = F.m
-        self._mask = (1 << F.m) - 1
-
-        img = gf4_embedding(F) if not self.binary else (0, 1)
-        self._back = {img[s]: s for s in range(len(img))}
         self.locators = info.locators
 
-        # packed coefficients of sym * (z - a_i)^{-1} mod modulus
-        m = F.m
-        contrib = []
+        # the coefficients of (z - a_i)^{-1} mod modulus
+        columns = []
         for a in self.locators:
             rem, _, v = poly_eea(F, self._modulus, [a, 1], 1)
-            inv = [F.div(c, rem[0]) for c in v]
-            inv += [0] * (dM - len(inv))
-            per_sym = [0]
-            syms = (1,) if self.binary else (1, 2, 3)
-            for sym in syms:
-                s_img = img[sym]
-                acc = 0
-                for j in range(dM):
-                    acc |= F.mul(s_img, inv[j]) << (j * m)
-                per_sym.append(acc)
-            contrib.append(per_sym)
-        self._contrib = contrib
+            columns.append([F.div(c, rem[0]) for c in v])
+        super().__init__(code, F, (0, 1) if self.binary else gf4_embedding(F), columns)
+
+        # sigma's roots are the locators themselves, and q_i = 1
+        om1 = self._om1
+        self._ptlog = [F.log[a] for a in self.locators]  # -1 for the locator 0
+        self._qlog = [0] * self.n
 
         # root scan tables: powlog[j, i] = j log(a_i) mod (2^m - 1), less
         # 2^m - 1, so adding log(sigma_j) gives an index in [-(2^m - 1),
         # 2^m - 1) that numpy wraps into the exp table.  The column of a
         # locator 0 is a placeholder: sigma(0) is read off as sigma_0.
-        exp, log, om1 = F.exp, F.log, F.order - 1
-        self._exp, self._log, self._om1 = exp, log, om1
-        self._loga = [log[a] for a in self.locators]  # -1 for the locator 0
-        lga = np.array([max(la, 0) for la in self._loga], dtype=np.int64)
+        lga = np.array([max(la, 0) for la in self._ptlog], dtype=np.int64)
         self._powlog = np.arange(self.radius + 1, dtype=np.int64)[:, None] * lga % om1 - om1
         self._exp_table = _exp_table(F.m, F.modulus)
         self._zero_at = self.locators.index(0) if 0 in self.locators else None
-        self._zero = bytes(self.n)
-
-    def _syndrome(self, word):
-        if len(word) != self.n:
-            raise ConfigError(f"received length {len(word)} != {self.n}")
-        acc = 0
-        try:
-            for per_sym, sym in zip(self._contrib, word):
-                if sym:
-                    acc ^= per_sym[sym]
-        except IndexError:
-            raise RangeError("received symbol outside GF(%d)"
-                             % (2 if self.binary else 4)) from None
-        return acc
-
-    def is_codeword(self, word):
-        return self._syndrome(word) == 0
 
     def _key_equation(self, S):
         """(omega, sigma) from extended Euclid on (modulus, S), stopped at the
@@ -429,9 +418,9 @@ class GoppaDecoder:
 
     def decode(self, received):
         acc = self._syndrome(received)
-        if acc == 0:
+        if not acc:
             return HammingDecodeResult(bytes(received), self._zero, SUCCESS)
-        m, mask = self._m, self._mask
+        m, mask = self.field.m, self._mask
         S = poly_trim([(acc >> (j * m)) & mask for j in range(self._dM)])
 
         omega, sigma = self._key_equation(S)
@@ -442,46 +431,8 @@ class GoppaDecoder:
         positions = self._roots(sigma)
         if len(positions) != L:
             return _fail()
-
-        # Forney values e_i = omega(a_i) / sigma'(a_i), by Horner's rule on
-        # the exp/log tables, with sigma'(x) = P(x^2) for P built from the
-        # odd coefficients; binary errors are all 1
-        exp, log, om1 = self._exp, self._log, self._om1
-        odd = sigma[1::2]
-        odd.reverse()
-        back = self._back
-        loga = self._loga
-        contrib = self._contrib
-        err = bytearray(self.n)
-        cand = bytearray(received)
-        for i in positions:
-            if self.binary:
-                val = 1
-            else:
-                la = loga[i]
-                if la < 0:  # the locator 0
-                    num, den = (omega[0] if omega else 0), sigma[1]
-                else:
-                    num = 0
-                    for c in reversed(omega):
-                        num = (exp[(log[num] + la) % om1] if num else 0) ^ c
-                    lz = 2 * la
-                    den = 0
-                    for c in odd:
-                        den = (exp[(log[den] + lz) % om1] if den else 0) ^ c
-                if den == 0 or num == 0:
-                    return _fail()
-                val = back.get(exp[(log[num] - log[den]) % om1])
-                if val is None:
-                    return _fail()
-            err[i] = val
-            cand[i] ^= val
-            acc ^= contrib[i][val]
-
-        # S(received) + S(error) is the full syndrome of the candidate
-        if acc:
-            return _fail(GUARD_TRIPPED)
-        return HammingDecodeResult(bytes(cand), bytes(err), SUCCESS)
+        # binary error values are all 1
+        return self._finish(received, acc, positions, None if self.binary else omega, sigma)
 
 
 @lru_cache(maxsize=None)
@@ -497,10 +448,16 @@ ORACLE_BUDGET = 1 << 22
 
 def _nearest_codeword(code, received, budget):
     """Scan every codeword; returns (word, distance, tie)."""
+    if len(received) != code.n:
+        raise ConfigError(f"received length {len(received)} != {code.n}")
+    rec = bytes(received)
+    q = code.base_field.order
+    if rec.translate(None, bytes(range(q))):
+        raise RangeError(f"received symbol outside GF({q})")
     size = code.size()
     if size > budget:
         raise BudgetError(f"{size} codewords exceed the budget {budget}")
-    rec = np.frombuffer(bytes(received), dtype=np.uint8)
+    rec = np.frombuffer(rec, dtype=np.uint8)
     best, word, ties = None, None, False
     for chunk, _ in iter_codeword_chunks(code):
         dist = np.count_nonzero(chunk != rec, axis=1)
@@ -517,13 +474,14 @@ def _nearest_codeword(code, received, budget):
 class OracleDecoder:
     """Exhaustive nearest-codeword decoder with a declared radius.
 
-    Ground truth for the algebraic decoders; also the decoding engine for
-    externally loaded codes that carry no algebraic structure.
+    Ground truth for the algebraic decoders, and the decoder for codes that
+    carry no algebraic structure, such as codes loaded from files.
     """
 
-    def __init__(self, code, radius=None, budget=ORACLE_BUDGET, method="oracle"):
+    method = "oracle"
+
+    def __init__(self, code, radius=None, budget=ORACLE_BUDGET):
         self.code = code
-        self.method = method
         self.budget = budget
         size = code.size()
         if size > budget:
@@ -541,16 +499,10 @@ class OracleDecoder:
         self.radius = radius
 
     def decode(self, received):
-        word, dist, tie = _nearest_codeword(self.code, received, self.budget)
-        if tie:
-            return _fail(tie=True)
-        if dist > self.radius:
+        res = oracle_decode(self.code, received, self.budget)
+        if res.ok and len(res.error) - res.error.count(0) > self.radius:
             return _fail()
-        err = bytes(a ^ b for a, b in zip(received, word))
-        return HammingDecodeResult(word, err, SUCCESS)
-
-    def is_codeword(self, word):
-        return self.code.contains(bytes(word))
+        return res
 
 
 def oracle_decode(code, received, budget=ORACLE_BUDGET):
@@ -576,12 +528,3 @@ def make_decoder(code, radius=None, budget=ORACLE_BUDGET):
     if radius is not None and radius > dec.radius:
         raise ConfigError(f"requested radius {radius} exceeds decoder radius {dec.radius}")
     return dec
-
-
-def external_decoder_load(code, radius):
-    """Wrap a loaded code as a bounded-distance decoder with a declared radius.
-
-    The declared radius must be consistent with the code's declared distance;
-    decoding is backed by the exhaustive oracle, so the code must be small.
-    """
-    return OracleDecoder(code, radius=radius, method="external")

@@ -17,7 +17,6 @@ from srcodes.hamdec import (
     BchDecoder,
     GoppaDecoder,
     OracleDecoder,
-    external_decoder_load,
     make_decoder,
     oracle_decode,
 )
@@ -224,13 +223,22 @@ def test_goppa_key_equation_matches_poly_eea(name, data):
     assert dec._key_equation(list(S)) == (omega, sigma)
 
 
-def test_decoders_reject_symbols_outside_the_alphabet(bch15_dec):
+def test_decoders_reject_symbols_outside_the_alphabet(bch15, bch15_dec):
     with pytest.raises(RangeError):
         bch15_dec.decode(bytes([4]) + bytes(14))
     F = build_field(5)
     code = goppa_build(F, list(F.elements()), find_irreducible(F, 3, seed=1), base=GF2)
     with pytest.raises(RangeError):
         GoppaDecoder(code).decode(bytes([2]) + bytes(31))
+    # the oracle checks its input as the algebraic decoders do
+    oracle = OracleDecoder(bch15, radius=2)
+    for decode in (oracle.decode, lambda w: oracle_decode(bch15, w)):
+        with pytest.raises(RangeError):
+            decode(bytes([7]) + bytes(14))
+        with pytest.raises(ConfigError):
+            decode(bytes(3))
+    with pytest.raises(RangeError):
+        OracleDecoder(code, radius=3).decode(bytes([2]) + bytes(31))
 
 
 def test_goppa_quaternary_single_errors():
@@ -342,10 +350,9 @@ def test_oracle_tie_flag():
     assert not res.ok and res.tie
 
 
-def test_external_decoder_repetition():
+def test_oracle_decoder_repetition():
     rep = LinearCode(GF4, [bytes([1, 1, 1])], d_lower=3, d_tag="declared")
-    dec = external_decoder_load(rep, 1)
-    assert dec.method == "external"
+    dec = OracleDecoder(rep, radius=1)
     for v in (1, 2, 3):
         cw = bytes([v, v, v])
         for i in range(3):
@@ -354,16 +361,16 @@ def test_external_decoder_repetition():
             assert res.ok and res.codeword == cw
 
 
-def test_external_radius_enforced():
+def test_oracle_radius_enforced():
     rep = LinearCode(GF4, [bytes([1, 1, 1])], d_lower=3, d_tag="declared")
     with pytest.raises(ConfigError):
-        external_decoder_load(rep, 2)
+        OracleDecoder(rep, radius=2)
 
 
-def test_external_budget():
+def test_oracle_budget():
     code = bch_build(63, DefiningSet.from_cosets(63, [0, 1, 2, 3, 5]))
     with pytest.raises(BudgetError):
-        external_decoder_load(code, 3)
+        OracleDecoder(code, radius=3)
 
 
 def test_make_decoder_dispatch():

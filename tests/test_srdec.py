@@ -3,11 +3,19 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from srcodes.errors import BudgetError, ConfigError, RangeError
-from srcodes.gf2m import GF4, vec_scale, vec_xor
-from srcodes.codes import DefiningSet, LinearCode, bch_build, min_distance_bruteforce
-from srcodes.hamdec import BchDecoder, OracleDecoder
+from srcodes.gf2m import GF4, build_field, vec_scale, vec_xor
+from srcodes.codes import (
+    DefiningSet,
+    LinearCode,
+    bch_build,
+    find_irreducible,
+    goppa_build,
+    min_distance_bruteforce,
+)
+from srcodes.hamdec import BchDecoder, GoppaDecoder, OracleDecoder
 from srcodes.sumrank import (
     SrWord,
     sr_construct,
@@ -115,6 +123,43 @@ def test_beyond_radius_never_lies(pair15):
             assert code.contains(res.codeword)
             dist = sumrank_weight_formula(res.error.coeff_x2, res.error.coeff_x)
             assert dist <= radius
+
+
+def _verify_cases():
+    F = build_field(6)
+    c1, c2 = (goppa_build(F, None, find_irreducible(F, r, seed=1), base=GF4) for r in (6, 4))
+    bch1 = bch_build(15, (1, 6))                                   # [15,8,6]
+    bch2 = bch_build(15, DefiningSet.from_cosets(15, [0, 1, 2]))   # [15,10,4]
+    return {"bch15": (sr_construct(bch1, bch2), BchDecoder(bch1), BchDecoder(bch2), 6),
+            # [64,46,>=7] and [64,52,>=5]: d1 >= 7 and d2 >= 2 * 7 / 3
+            "goppa64": (sr_construct(c1, c2), GoppaDecoder(c1), GoppaDecoder(c2), 7)}
+
+
+VERIFY_CASES = _verify_cases()
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_CASES))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_success_is_verified_at_every_weight(name, data):
+    # errors of every sum-rank weight 0..2l, half of them at most one past
+    # the radius: a success is always a codeword within the radius of the
+    # received word, and the sent word itself inside the radius
+    code, dec1, dec2, d_sr = VERIFY_CASES[name]
+    radius = (d_sr - 1) // 2
+    n = code.n
+    w = data.draw(st.integers(0, 2 * n) | st.integers(0, radius + 1))
+    sent = code.encode(data.draw(st.lists(st.integers(0, 1), min_size=code.f2_dimension,
+                                          max_size=code.f2_dimension)))
+    received = sent + sample_error(n, w, data.draw(st.integers(0, 2 ** 32)))
+    res = sr_decode(code, dec1, dec2, received, d_sr)
+    assert res.ok or w > radius
+    if res.ok:
+        assert code.contains(res.codeword)
+        assert res.codeword + res.error == received
+        assert sumrank_weight(res.error) <= radius
+    if w <= radius:
+        assert res.codeword == sent
 
 
 def test_branch_diagnostics_example():
