@@ -32,6 +32,7 @@ from importlib import resources
 from .errors import BudgetError, ConfigError, ConstructionError, RangeError
 from .gf2m import GF2, GF4, build_field
 from .codes import (
+    DEFAULT_BUDGET,
     AdditiveCode,
     DefiningSet,
     LinearCode,
@@ -79,6 +80,17 @@ def _sym_bytes(s):
     if any(v > 3 for v in vals):
         raise ConstructionError(f"symbol out of range in {s!r}")
     return vals
+
+
+def _int(text, base=10):
+    """A non-negative integer token of a file."""
+    try:
+        v = int(text, base)
+    except ValueError:
+        v = -1
+    if v < 0:
+        raise ConstructionError(f"expected a non-negative integer, got {text!r}")
+    return v
 
 
 def _required(fields, key):
@@ -129,7 +141,7 @@ def load_code(text):
         if key == "row":
             rows.append(_sym_bytes(rest))
         elif key in ("gpoly", "locators"):
-            extra[key] = [int(t, 16) for t in rest.split()]
+            extra[key] = [_int(t, 16) for t in rest.split()]
         elif key == "construction":
             extra["construction"] = rest.split()
         else:
@@ -139,30 +151,32 @@ def load_code(text):
     base = {"gf2": GF2, "gf4": GF4}.get(fields.get("field"))
     if base is None:
         raise ConstructionError(f"unsupported field {fields.get('field')!r}")
-    n = int(_required(fields, "length"))
+    if any(r.translate(None, bytes(range(base.order))) for r in rows):
+        raise ConstructionError(f"row symbol outside the declared field {fields['field']}")
+    n = _int(_required(fields, "length"))
     dmin_str = fields.get("dmin", "1 declared")
     d_str, _, tag = dmin_str.partition(" ")
-    d_lower, tag = int(d_str), (tag or "declared")
+    d_lower, tag = _int(d_str), (tag or "declared")
 
     cons = extra.get("construction")
     # fields counting the name: bch n leaders / goppa base m modulus
     if cons and len(cons) < {"bch": 3, "goppa": 4}.get(cons[0], 0):
         raise ConstructionError(f"construction {cons[0]} line has too few fields")
     if cons and cons[0] == "bch":
-        cn = int(cons[1])
-        leaders = [int(t) for t in cons[2].split(",")]
+        cn = _int(cons[1])
+        leaders = [_int(t) for t in cons[2].split(",")]
         code = bch_build(cn, DefiningSet.from_cosets(cn, leaders))
         if tuple(rows) != code.generator_matrix:
             raise ConstructionError("bch construction metadata does not match rows")
     elif cons and cons[0] == "goppa":
-        f = build_field(int(cons[2]), int(cons[3], 16))
+        f = build_field(_int(cons[2]), _int(cons[3], 16))
         code = goppa_build(f, _required(extra, "locators"), _required(extra, "gpoly"),
                            base=GF2 if cons[1] == "gf2" else GF4)
         if tuple(rows) != code.generator_matrix:
             raise ConstructionError("goppa construction metadata does not match rows")
     elif fields.get("kind") == "additive":
         code = additive_build(rows, d_lower=d_lower, d_tag=tag)
-        if code.f2_dimension != int(_required(fields, "f2dim")):
+        if code.f2_dimension != _int(_required(fields, "f2dim")):
             raise ConstructionError("declared f2dim does not match the generators")
         if code.n != n:
             raise ConstructionError("declared length does not match the rows")
@@ -172,12 +186,12 @@ def load_code(text):
         else:
             eye = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
             code = LinearCode(base, [], parity_rows=eye, d_lower=d_lower, d_tag=tag)
-        if code.k != int(fields.get("dimension", len(rows))):
+        if code.k != _int(fields.get("dimension", str(len(rows)))):
             raise ConstructionError("declared dimension does not match the rows")
         if code.n != n:
             raise ConstructionError("declared length does not match the rows")
     if "dexact" in fields:
-        code.d_exact = int(fields["dexact"])
+        code.d_exact = _int(fields["dexact"])
     return code
 
 
@@ -208,7 +222,7 @@ def load_word(text):
         raise ConstructionError("not a v1 word file")
     x = _sym_bytes(_required(fields, "x"))
     x2 = _sym_bytes(_required(fields, "x2"))
-    if len(x) != int(_required(fields, "length")) or len(x2) != len(x):
+    if len(x) != _int(_required(fields, "length")) or len(x2) != len(x):
         raise ConstructionError("word length mismatch")
     return SrWord(x, x2)
 
@@ -488,7 +502,7 @@ def build_parser():
     sp.add_argument("--c2", required=True)
     sp.add_argument("--word", required=True)
     sp.add_argument("--d-sr", type=int, default=0)
-    sp.add_argument("--budget", type=int, default=1 << 22)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_decode)
 
@@ -501,7 +515,7 @@ def build_parser():
     sp.add_argument("--d-sr", type=int, default=0)
     sp.add_argument("--jobs", type=int, default=1,
                     help="accepted for compatibility; has no effect")
-    sp.add_argument("--budget", type=int, default=1 << 22)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sp.add_argument("--no-timing", action="store_true",
                     help="zero the timing column for byte-reproducible output")
     sp.add_argument("--pretty", action="store_true")
@@ -511,7 +525,7 @@ def build_parser():
     sp.add_argument("--code", help="single code file (Hamming metric)")
     sp.add_argument("--c1", help="pair mode: x^2 component")
     sp.add_argument("--c2", help="pair mode: x component")
-    sp.add_argument("--budget", type=int, default=1 << 22)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sp.set_defaults(func=cmd_mindist)
 
     return p

@@ -166,12 +166,43 @@ def nullspace(field, rows, ncols):
 # code objects
 # ----------------------------------------------------------------------
 
-class LinearCode:
-    """A linear [n, k] code over GF(2) or GF(4).
+class _Code:
+    """What linear and additive codes share: the distance bookkeeping, and
+    encoding through the GF(2) generators packed into ints.  A subclass
+    sets n and f2_generators before calling __init__.
 
     Immutable after construction apart from d_exact, which caches a
     certified minimum distance once one has been computed.
     """
+
+    def __init__(self, d_lower, d_tag):
+        self.d_designed = d_lower
+        self.d_tag = d_tag
+        self.d_exact = None
+        # one int per GF(2) generator: XOR of the ints adds the vectors
+        self._packed = tuple(int.from_bytes(g, "big") for g in self.f2_generators)
+
+    @property
+    def f2_dimension(self):
+        return len(self._packed)
+
+    @property
+    def d_lower(self):
+        """Best available lower bound on the minimum distance."""
+        if not self._packed:
+            return None
+        return self.d_exact if self.d_exact is not None else self.d_designed
+
+    def encode_f2(self, bits):
+        """Encode message bits, one per entry of f2_generators."""
+        return _xor_selected(self._packed, _checked_message(bits, self.f2_dimension), self.n)
+
+    def size(self):
+        return 1 << self.f2_dimension
+
+
+class LinearCode(_Code):
+    """A linear [n, k] code over GF(2) or GF(4)."""
 
     kind = "linear"
 
@@ -184,7 +215,7 @@ class LinearCode:
             if any(len(r) != self.n for r in rows):
                 raise ConstructionError("generator rows of unequal length")
         else:
-            if parity_rows is None:
+            if not parity_rows:
                 raise ConstructionError("zero code needs explicit parity rows")
             self.n = len(parity_rows[0])
         self.k = len(rows)
@@ -197,40 +228,15 @@ class LinearCode:
             parity_rows = nullspace(base_field, [list(r) for r in rows], self.n)
         self.parity_matrix = tuple(bytes(r) for r in parity_rows)
         if check:
-            self._spot_check_parity()
-        self.d_designed = d_lower
-        self.d_tag = d_tag
-        self.d_exact = None
+            gen = self.generator_matrix
+            sample = gen if len(gen) * len(self.parity_matrix) <= 4096 else gen[:3]
+            if any(any(self.syndrome(g)) for g in sample):
+                raise ConstructionError("generator/parity matrices inconsistent")
         self.bch_info = None
         self.goppa_info = None
-        # one int per GF(2) generator: XOR of the ints adds the vectors
-        self._packed = tuple(int.from_bytes(g, "big") for g in self.f2_generators)
-
-    def _spot_check_parity(self):
-        mul = self.base_field.mul
-        gen = self.generator_matrix
-        rows = gen if len(gen) * len(self.parity_matrix) <= 4096 else gen[:3]
-        for g in rows:
-            for h in self.parity_matrix:
-                acc = 0
-                for a, b in zip(g, h):
-                    if a and b:
-                        acc ^= mul(a, b)
-                if acc:
-                    raise ConstructionError("generator/parity matrices inconsistent")
+        super().__init__(d_lower, d_tag)
 
     # -- basic operations --------------------------------------------------
-
-    @property
-    def d_lower(self):
-        """Best available lower bound on the minimum distance."""
-        if self.k == 0:
-            return None
-        return self.d_exact if self.d_exact is not None else self.d_designed
-
-    @property
-    def f2_dimension(self):
-        return self.k * self.base_field.m
 
     @property
     def f2_generators(self):
@@ -244,10 +250,6 @@ class LinearCode:
         if self.base_field.order == 4:
             msg = [s >> j & 1 for s in msg for j in (0, 1)]
         return _xor_selected(self._packed, msg, self.n)
-
-    def encode_f2(self, bits):
-        """Encode message bits, one per entry of f2_generators."""
-        return _xor_selected(self._packed, _checked_message(bits, self.f2_dimension), self.n)
 
     def syndrome(self, word):
         mul = self.base_field.mul
@@ -265,16 +267,13 @@ class LinearCode:
             return False
         return not any(self.syndrome(word))
 
-    def size(self):
-        return self.base_field.order ** self.k
-
     def __repr__(self):
         d = self.d_exact if self.d_exact is not None else self.d_designed
         q = self.base_field.order
         return f"[{self.n},{self.k},{d}]_{q} ({self.d_tag})"
 
 
-class AdditiveCode:
+class AdditiveCode(_Code):
     """A GF(2)-linear (additive) code inside GF(4)^n.
 
     Stored through a GF(2)-independent generator list; the quaternary
@@ -286,12 +285,8 @@ class AdditiveCode:
     def __init__(self, n, f2_generators, d_lower=1, d_tag="declared", dropped=0):
         self.n = n
         self.f2_generators = tuple(bytes(g) for g in f2_generators)
-        self.f2_dimension = len(self.f2_generators)
-        self.d_designed = d_lower
-        self.d_tag = d_tag
-        self.d_exact = None
+        super().__init__(d_lower, d_tag)
         self.dropped = dropped
-        self._packed = tuple(int.from_bytes(g, "big") for g in self.f2_generators)
         self._echelon = []
         for v in self._packed:
             gf2_insert(self._echelon, v)
@@ -304,16 +299,7 @@ class AdditiveCode:
     def k(self):
         return self.f2_dimension / 2
 
-    @property
-    def d_lower(self):
-        if self.f2_dimension == 0:
-            return None
-        return self.d_exact if self.d_exact is not None else self.d_designed
-
-    def encode(self, bits):
-        return _xor_selected(self._packed, _checked_message(bits, self.f2_dimension), self.n)
-
-    encode_f2 = encode
+    encode = _Code.encode_f2
 
     def contains(self, word):
         if len(word) != self.n:
@@ -323,9 +309,6 @@ class AdditiveCode:
     def syndrome(self, word):
         # reduction residue doubles as a membership syndrome
         return gf2_reduce(self._echelon, int.from_bytes(bytes(word), "big"))
-
-    def size(self):
-        return 1 << self.f2_dimension
 
     def __repr__(self):
         d = self.d_exact if self.d_exact is not None else self.d_designed
@@ -516,12 +499,15 @@ def goppa_build(field, locators, gpoly, base=GF2):
     locators is None, every field element that is not a root of G is used.
     """
     gpoly = poly_trim(list(gpoly))
+    if locators is not None:
+        locators = list(locators)
+    if not all(0 <= v < field.order for v in gpoly + (locators or [])):
+        raise ConstructionError(f"a locator or coefficient of G lies outside GF(2^{field.m})")
     r = poly_deg(gpoly)
     if r < 1:
         raise ConstructionError("Goppa polynomial must have degree >= 1")
     if locators is None:
         locators = [a for a in field.elements() if poly_eval(field, gpoly, a) != 0]
-    locators = list(locators)
     if len(set(locators)) != len(locators):
         raise ConstructionError("duplicate locators")
     for a in locators:
@@ -655,25 +641,41 @@ def _generate_chunks(code):
         yield W ^ high, False
 
 
+def nearest_codeword(code, received, budget, exclude_zero=False):
+    """Nearest codeword to the byte vector received in the Hamming metric,
+    by enumeration.
+
+    The first minimum in iter_codeword_chunks order is the witness;
+    exclude_zero drops the all-zero codeword.  Returns (distance, tie,
+    word), with tie set when the minimum is not unique.
+    """
+    if 1 << code.f2_dimension > budget:
+        raise BudgetError(f"2^{code.f2_dimension} codewords exceed the budget {budget}")
+    rec = np.frombuffer(received, dtype=np.uint8)
+    best, tie, word = None, False, None
+    for chunk, holds_zero in iter_codeword_chunks(code):
+        dist = np.count_nonzero(chunk != rec, axis=1)
+        if exclude_zero and holds_zero:
+            dist[0] = code.n + 1
+        i = int(np.argmin(dist))
+        di = int(dist[i])
+        if best is None or di < best:
+            best, word = di, bytes(chunk[i])
+            tie = int(np.count_nonzero(dist == di)) > 1
+        elif di == best:
+            tie = True
+    return best, tie, word
+
+
 def min_distance_bruteforce(code, budget=DEFAULT_BUDGET):
     """Exact minimum Hamming weight over all nonzero codewords.
 
     Certifies the result by exhaustive enumeration, caches it in d_exact,
     and returns (distance, witness codeword).
     """
-    dim = len(code.f2_generators) if isinstance(code, AdditiveCode) else code.f2_dimension
-    if dim == 0:
+    if code.f2_dimension == 0:
         raise ValueError("the zero code has no minimum distance")
-    if 1 << dim > budget:
-        raise BudgetError(f"2^{dim} codewords exceed the budget {budget}")
-    best, witness = None, None
-    for chunk, holds_zero in iter_codeword_chunks(code):
-        w = np.count_nonzero(chunk, axis=1)
-        if holds_zero:
-            w[0] = code.n + 1
-        i = int(np.argmin(w))
-        if best is None or w[i] < best:
-            best, witness = int(w[i]), bytes(chunk[i])
+    best, _, witness = nearest_codeword(code, bytes(code.n), budget, exclude_zero=True)
     code.d_exact = best
     if best < code.d_designed:
         raise AssertionError("certified distance fell below the designed bound")

@@ -57,7 +57,7 @@ DEFAULT_MODULI = {
 
 
 # ----------------------------------------------------------------------
-# bit-polynomials over GF(2) (used only to validate moduli / find generators)
+# bit-polynomials over GF(2) (used only to find generators and build tables)
 # ----------------------------------------------------------------------
 
 def _bp_deg(p):
@@ -87,15 +87,6 @@ def _bp_powmod(a, e, mod):
     return r
 
 
-def _bp_gcd(a, b):
-    while b:
-        dm = _bp_deg(b)
-        while _bp_deg(a) >= dm and a:
-            a ^= b << (_bp_deg(a) - dm)
-        a, b = b, a
-    return a
-
-
 def _prime_factors(n):
     out = []
     p = 2
@@ -108,30 +99,6 @@ def _prime_factors(n):
     if n > 1:
         out.append(n)
     return out
-
-
-def _bp_is_irreducible(f):
-    """Rabin test for a GF(2)[x] polynomial given as a bitmask."""
-    m = _bp_deg(f)
-    if m <= 0:
-        return False
-    if m == 1:
-        return True
-    if not f & 1:  # divisible by x
-        return False
-    # x^(2^m) == x (mod f)
-    t = 2
-    for _ in range(m):
-        t = _bp_mulmod(t, t, f)
-    if t != 2:
-        return False
-    for p in _prime_factors(m):
-        t = 2
-        for _ in range(m // p):
-            t = _bp_mulmod(t, t, f)
-        if _bp_gcd(t ^ 2, f) != 1:
-            return False
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -153,7 +120,9 @@ class FieldContext:
         if _bp_deg(modulus) != m:
             raise ConstructionError(
                 f"modulus {modulus:#x} has degree {_bp_deg(modulus)}, expected {m}")
-        if not _bp_is_irreducible(modulus):
+        # every degree-1 modulus is irreducible, so GF2 is built unchecked and
+        # then checks the moduli of the larger fields
+        if m > 1 and not poly_is_irreducible(GF2, [modulus >> i & 1 for i in range(m + 1)]):
             raise ConstructionError(f"modulus {modulus:#x} is reducible over GF(2)")
         self.m = m
         self.modulus = modulus
@@ -254,19 +223,6 @@ def build_field(m, modulus=None):
     return _cached_field(m, modulus)
 
 
-GF2 = build_field(1)
-GF4 = build_field(2)
-
-# flat GF(4) helper tables (symbols 0,1,2,3 = 0,1,w,w^2)
-GF4_MUL = tuple(GF4.mul(a, b) for a in range(4) for b in range(4))
-GF4_INV = (0, 1, 3, 2)
-
-# 256-entry translation tables: SCALE4[s] maps a GF(4) byte vector to s*vector
-SCALE4 = tuple(
-    bytes(GF4.mul(s, v) if v < 4 else 0 for v in range(256)) for s in range(4)
-)
-
-
 @lru_cache(maxsize=None)
 def _gf4_embedding_cached(m, modulus):
     target = build_field(m, modulus)
@@ -290,18 +246,25 @@ def gf4_embedding(target):
 
 def gf2_reduce(rows, v):
     """v, as a bit vector, reduced by an echelon kept by gf2_insert; zero
-    exactly when v lies in the rows' GF(2) span."""
+    exactly when v lies in the rows' GF(2) span.
+
+    Rows inserted as (vector << t) | tag, with a t-bit tag, carry the tag
+    along: v << t then reduces to its residue above bit t and, below it,
+    the XOR of the tags of the rows it used, a preimage of v when each tag
+    names the source of its row.
+    """
     for r in rows:
         if v.bit_length() == r.bit_length():
             v ^= r
     return v
 
 
-def gf2_insert(rows, v):
+def gf2_insert(rows, v, tag_bits=0):
     """Add v to the echelon `rows` (sorted by decreasing bit length, one row
-    per leading bit); False, with rows unchanged, when v is in their span."""
+    per leading bit); False, with rows unchanged, when v is in their span.
+    The low tag_bits bits of v are its tag and do not count (see gf2_reduce)."""
     v = gf2_reduce(rows, v)
-    if not v:
+    if not v >> tag_bits:
         return False
     rows.append(v)
     rows.sort(key=int.bit_length, reverse=True)
@@ -311,59 +274,39 @@ def gf2_insert(rows, v):
 class Gf4Expansion:
     """Coordinate expansion of GF(2^(2h)) over the embedded GF(4).
 
-    Picks a greedy GF(4)-basis of the target field and precomputes the
-    inverse coordinate map, so elements can be written as length-h vectors
-    of GF(4) symbols.
+    Picks a greedy GF(4)-basis of the target field and keeps a tagged
+    GF(2)-echelon of it, so elements can be written as length-h vectors of
+    GF(4) symbols.
     """
 
     def __init__(self, target):
         if target.m % 2 != 0:
             raise EmbedError(f"GF(4) does not embed in GF(2^{target.m})")
         self.target = target
-        self.h = target.m // 2
+        m = target.m
+        self.h = h = m // 2
         w_img = gf4_embedding(target)[2]
         basis = []
-        span_rows = []  # GF(2)-echelon of the {b, w*b} bit vectors
+        span_rows = []  # GF(2)-echelon of the b_j and w*b_j, tagged 2^j and 2^(h+j)
         for cand in range(1, target.order):
+            j = len(basis)
             saved = list(span_rows)
-            if gf2_insert(span_rows, cand) and gf2_insert(span_rows, target.mul(w_img, cand)):
+            if (gf2_insert(span_rows, cand << m | 1 << j, m)
+                    and gf2_insert(span_rows, target.mul(w_img, cand) << m | 1 << (h + j), m)):
                 basis.append(cand)
-                if len(basis) == self.h:
+                if len(basis) == h:
                     break
             else:
                 span_rows[:] = saved
         self.basis = tuple(basis)
-        # columns of the 2h x 2h change-of-basis matrix: b_j then w*b_j
-        cols = [b for b in basis] + [target.mul(w_img, b) for b in basis]
-        self._inv_rows = _invert_bit_matrix(cols, target.m)
+        self._span_rows = span_rows
 
     def coords(self, a):
         """GF(4) coordinates of a target element, length h, basis order."""
-        bits = []
-        for row in self._inv_rows:
-            bits.append(bin(row & a).count("1") & 1)
+        # the rows span the field, so a reduces to its tag alone
+        t = gf2_reduce(self._span_rows, a << self.target.m)
         h = self.h
-        return tuple(bits[j] | bits[h + j] << 1 for j in range(h))
-
-
-def _invert_bit_matrix(cols, n):
-    """Invert an n x n GF(2) matrix given as column bitmasks; rows returned
-    as bitmasks so that row . vector = coordinate."""
-    # build rows of [A | I] with A[i][j] = bit i of cols[j]
-    rows = []
-    for i in range(n):
-        left = 0
-        for j in range(n):
-            if cols[j] >> i & 1:
-                left |= 1 << j
-        rows.append((left, 1 << i))
-    for c in range(n):
-        piv = next(i for i in range(c, n) if rows[i][0] >> c & 1)
-        rows[c], rows[piv] = rows[piv], rows[c]
-        for i in range(n):
-            if i != c and rows[i][0] >> c & 1:
-                rows[i] = (rows[i][0] ^ rows[c][0], rows[i][1] ^ rows[c][1])
-    return [right for _, right in rows]
+        return tuple(t >> j & 1 | (t >> (h + j) & 1) << 1 for j in range(h))
 
 
 @lru_cache(maxsize=None)
@@ -516,6 +459,15 @@ def poly_is_irreducible(field, f):
         if poly_deg(poly_gcd(field, poly_add(t, z), f)) != 0:
             return False
     return True
+
+
+GF2 = build_field(1)
+GF4 = build_field(2)
+
+# 256-entry translation tables: SCALE4[s] maps a GF(4) byte vector to s*vector
+SCALE4 = tuple(
+    bytes(GF4.mul(s, v) if v < 4 else 0 for v in range(256)) for s in range(4)
+)
 
 
 # ----------------------------------------------------------------------

@@ -30,9 +30,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import BudgetError, ConfigError, RangeError
-from .gf2m import (build_field, gf4_embedding, poly_deg, poly_derivative, poly_eea,
-                   poly_gcd, poly_mul, poly_trim)
-from .codes import cyclotomic_coset, iter_codeword_chunks
+from .gf2m import (build_field, gf2_insert, gf2_reduce, gf4_embedding, poly_deg,
+                   poly_derivative, poly_eea, poly_gcd, poly_mul, poly_trim)
+from .codes import DEFAULT_BUDGET, cyclotomic_coset, nearest_codeword
 
 SUCCESS = "success"
 DECODE_FAILURE = "decode_failure"
@@ -93,6 +93,9 @@ class _AlgebraicDecoder:
             raise ConfigError(f"received length {len(word)} != {self.n}")
         acc = 0
         try:
+            # bytes hold no negative symbol, and a list's would index from the end
+            if not isinstance(word, bytes) and min(word, default=0) < 0:
+                raise IndexError
             for per_sym, sym in zip(self._contrib, word):
                 if sym:
                     acc ^= per_sym[sym]
@@ -295,32 +298,19 @@ def _deg2_basis(F):
     y -> y^2 + y is GF(2)-linear with kernel {0, 1}, so its image is the
     trace-zero hyperplane and XOR-ing r_i over the set bits of a trace-zero
     c gives a root of y^2 + y = c (the basis of Linux lib/bch.c).  Found by
-    elimination over the m basis images, with no search of the field.
+    elimination over the m basis images, each tagged with its preimage, with
+    no search of the field.
     """
-    pivots = {}  # leading bit -> (image, preimage)
-    for j in range(F.m):
-        v, pre = F.mul(1 << j, 1 << j) ^ (1 << j), 1 << j
-        while v:
-            top = v.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = (v, pre)
-                break
-            v ^= pivots[top][0]
-            pre ^= pivots[top][1]
-
-    def solve(t):
-        y = 0
-        while t:
-            top = t.bit_length() - 1
-            if top not in pivots:
-                return None
-            t ^= pivots[top][0]
-            y ^= pivots[top][1]
-        return y
-
-    roots = [solve(1 << i) for i in range(F.m)]
-    a = next(1 << i for i, r in enumerate(roots) if r is None)
-    return [solve((1 << i) ^ a) if r is None else r for i, r in enumerate(roots)]
+    m = F.m
+    rows = []
+    for j in range(m):
+        y = 1 << j
+        gf2_insert(rows, (F.mul(y, y) ^ y) << m | y, m)
+    # a reduction leaves bits above m exactly when c has trace one
+    roots = [gf2_reduce(rows, 1 << (i + m)) for i in range(m)]
+    a = next(1 << i for i, r in enumerate(roots) if r >> m)
+    return [gf2_reduce(rows, ((1 << i) ^ a) << m) if r >> m else r
+            for i, r in enumerate(roots)]
 
 
 class GoppaDecoder(_AlgebraicDecoder):
@@ -443,34 +433,6 @@ def _exp_table(m, modulus):
     return table
 
 
-ORACLE_BUDGET = 1 << 22
-
-
-def _nearest_codeword(code, received, budget):
-    """Scan every codeword; returns (word, distance, tie)."""
-    if len(received) != code.n:
-        raise ConfigError(f"received length {len(received)} != {code.n}")
-    rec = bytes(received)
-    q = code.base_field.order
-    if rec.translate(None, bytes(range(q))):
-        raise RangeError(f"received symbol outside GF({q})")
-    size = code.size()
-    if size > budget:
-        raise BudgetError(f"{size} codewords exceed the budget {budget}")
-    rec = np.frombuffer(rec, dtype=np.uint8)
-    best, word, ties = None, None, False
-    for chunk, _ in iter_codeword_chunks(code):
-        dist = np.count_nonzero(chunk != rec, axis=1)
-        i = int(np.argmin(dist))
-        dmin = int(dist[i])
-        if best is None or dmin < best:
-            best, word = dmin, bytes(chunk[i])
-            ties = int(np.count_nonzero(dist == best)) > 1
-        elif dmin == best:
-            ties = True
-    return word, best, ties
-
-
 class OracleDecoder:
     """Exhaustive nearest-codeword decoder with a declared radius.
 
@@ -480,7 +442,7 @@ class OracleDecoder:
 
     method = "oracle"
 
-    def __init__(self, code, radius=None, budget=ORACLE_BUDGET):
+    def __init__(self, code, radius=None, budget=DEFAULT_BUDGET):
         self.code = code
         self.budget = budget
         size = code.size()
@@ -505,19 +467,28 @@ class OracleDecoder:
         return res
 
 
-def oracle_decode(code, received, budget=ORACLE_BUDGET):
+def oracle_decode(code, received, budget=DEFAULT_BUDGET):
     """Nearest codeword in the Hamming metric, with no radius bound.
 
     Ties come back as a decode failure with the tie flag set.
     """
-    word, dist, tie = _nearest_codeword(code, received, budget)
+    if len(received) != code.n:
+        raise ConfigError(f"received length {len(received)} != {code.n}")
+    q = code.base_field.order
+    try:
+        rec = bytes(received)
+    except (TypeError, ValueError):  # a symbol outside 0..255
+        rec = None
+    if rec is None or rec.translate(None, bytes(range(q))):
+        raise RangeError(f"received symbol outside GF({q})")
+    _, tie, word = nearest_codeword(code, rec, budget)
     if tie:
         return _fail(tie=True)
-    err = bytes(a ^ b for a, b in zip(received, word))
+    err = bytes(a ^ b for a, b in zip(rec, word))
     return HammingDecodeResult(word, err, SUCCESS)
 
 
-def make_decoder(code, radius=None, budget=ORACLE_BUDGET):
+def make_decoder(code, radius=None, budget=DEFAULT_BUDGET):
     """Pick the natural decoder for a code: BCH, Goppa, or the oracle."""
     if getattr(code, "bch_info", None) is not None:
         dec = BchDecoder(code)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, RangeError
 from .gf2m import vec_scale, vec_xor
+from .codes import DEFAULT_BUDGET
 from .sumrank import SrWord, sr_sweep, sr_zero, sumrank_weight_formula
 
 _BETA_SQ = {1: 1, 2: 3, 3: 2}
@@ -147,7 +148,7 @@ def _sr_decode(dec1, dec2, received, radius):
                           dec1_calls=1, dec2_calls=dec2_calls)
 
 
-def sr_oracle_decode(code, received, budget=1 << 22):
+def sr_oracle_decode(code, received, budget=DEFAULT_BUDGET):
     """Exhaustive nearest codeword in the sum-rank metric.
 
     Ties for the minimum distance come back as the ambiguous state.

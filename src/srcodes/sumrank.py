@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BudgetError, ConstructionError, RangeError
 from .gf2m import GF4, vec_xor
-from .codes import AdditiveCode, iter_codeword_chunks
+from .codes import DEFAULT_BUDGET, iter_codeword_chunks
 
 
 # ----------------------------------------------------------------------
@@ -113,8 +113,6 @@ def sr_distance(u, v):
 # ----------------------------------------------------------------------
 
 def _check_component(code, name):
-    if isinstance(code, AdditiveCode):
-        return
     if code.base_field.order != 4:
         raise ConstructionError(f"{name} must be a quaternary code "
                                 "(wrap binary codes as additive ones)")
@@ -232,7 +230,7 @@ def sr_sweep(code, received, budget, exclude_zero=False):
     return best, tie, witness
 
 
-def sr_min_distance_bruteforce(code, budget=1 << 22):
+def sr_min_distance_bruteforce(code, budget=DEFAULT_BUDGET):
     """Certified minimum sum-rank distance by full enumeration.
 
     Walks all pairs (a1, a2) and evaluates the closed-form weight; returns

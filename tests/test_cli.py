@@ -1,8 +1,11 @@
+import functools
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from srcodes.errors import ConstructionError, RangeError
 from srcodes.gf2m import GF2, GF4, build_field
 from srcodes.codes import LinearCode, bch_build, find_irreducible, goppa_build
 from srcodes.sumrank import SrWord
@@ -113,6 +116,99 @@ def test_short_construction_line_exit_code(tmp_path):
         bad = tmp_path / "short.code"
         bad.write_text(text)
         assert main(["build-sr", "--c1", str(good), "--c2", str(bad)]) == 1
+
+
+def _with_line(text, key, line):
+    """text with its `key` line replaced by line."""
+    return "".join((line if raw.split(" ")[0] == key else raw) + "\n"
+                   for raw in text.splitlines())
+
+
+def _goppa32():
+    F = build_field(5)
+    return goppa_build(F, list(F.elements()), find_irreducible(F, 2, seed=0), base=GF2)
+
+
+def test_malformed_fields_are_construction_errors():
+    bch = dump_code(bch_build(15, (1, 6)))
+    lin = dump_code(packaged_code("linear_12_8_4.code"))
+    goppa = dump_code(_goppa32())
+    bad = [_with_line(bch, "length", "length abc"),
+           _with_line(bch, "dmin", "dmin x declared"),
+           _with_line(lin, "dimension", "dimension q"),
+           bch + "dexact z\n",
+           _with_line(bch, "construction", "construction bch 15 1,x"),
+           _with_line(goppa, "gpoly", "gpoly zz 1 1"),
+           _with_line(goppa, "locators", "locators 1 99"),
+           _with_line(goppa, "gpoly", "gpoly 1 1 40"),
+           "code v1\nfield gf2\nkind linear\nlength 3\ndimension 1\nrow 120\n",
+           "code v1\nfield gf4\nkind linear\nlength 0\ndimension 0\n",
+           "code v1\nfield gf4\nkind linear\nlength -2\ndimension 0\n"]
+    for text in bad:
+        with pytest.raises(ConstructionError):
+            load_code(text)
+    with pytest.raises(ConstructionError):
+        load_word("word v1\nlength two\nx 01\nx2 01\n")
+
+
+@functools.lru_cache(maxsize=None)
+def _loader_inputs():
+    """(loader, valid file text) pairs for the fuzz test to mutate."""
+    codes = [bch_build(15, (1, 6)), _goppa32(), packaged_code("linear_12_8_4.code"),
+             packaged_code("additive_12_f2dim7_d8.code"),
+             LinearCode(GF2, [bytes([1, 1, 0]), bytes([0, 1, 1])], d_lower=2)]
+    word = SrWord(bytes([0, 1, 2, 3]), bytes([3, 0, 0, 2]))
+    return tuple([(load_code, dump_code(c)) for c in codes] + [(load_word, dump_word(word))])
+
+
+_TOKENS = st.one_of(st.integers(-3, 70).map(str), st.integers(0, 300).map("{:x}".format),
+                    st.text("0123456789abcdefgxz-,", max_size=5))
+
+
+@st.composite
+def _mutated_files(draw):
+    """A valid code or word file with one to three lines dropped, doubled or
+    with one token replaced."""
+    load, text = draw(st.sampled_from(_loader_inputs()))
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(("drop", "double", "token")))
+        if op == "drop":
+            del lines[i]
+        elif op == "double":
+            lines.insert(i, lines[i])
+        else:
+            tokens = lines[i].split(" ")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_TOKENS)
+            lines[i] = " ".join(tokens)
+        if not lines:
+            break
+    return load, "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_mutated_files())
+def test_loaders_raise_only_typed_errors(case):
+    load, text = case
+    try:
+        load(text)
+    except (ConstructionError, RangeError):
+        pass
+
+
+def test_bad_code_file_exit_code_without_traceback(tmp_path):
+    good = tmp_path / "good.code"
+    good.write_text(dump_code(bch_build(15, (1, 6))))
+    bad = tmp_path / "bad.code"
+    bad.write_text("code v1\nfield gf2\nkind linear\nlength 15\ndimension 1\n"
+                   "row 200000000000000\n")
+    word = tmp_path / "w.word"
+    word.write_text(dump_word(SrWord(bytes(15), bytes(15))))
+    rc, _, err = run_cli("decode", "--c1", str(bad), "--c2", str(good), "--word", str(word))
+    assert rc == 1
+    assert any(line.startswith("error:") for line in err.splitlines())
+    assert "Traceback" not in err
 
 
 def test_packaged_data_codes():

@@ -102,6 +102,13 @@ def test_reducible_modulus_rejected():
         FieldContext(2, 0b101)  # x^2 + 1 = (x+1)^2
 
 
+@pytest.mark.parametrize("m, count", enumerate([2, 1, 2, 3, 6, 9, 18, 30, 56, 99], start=1))
+def test_irreducible_counts_over_gf2(m, count):
+    # the number of irreducible binary polynomials of each degree (OEIS A001037)
+    polys = ([c >> i & 1 for i in range(m)] + [1] for c in range(1 << m))
+    assert sum(poly_is_irreducible(GF2, f) for f in polys) == count
+
+
 def test_degree_out_of_range():
     with pytest.raises(RangeError):
         build_field(0)

@@ -17,6 +17,7 @@ from srcodes.hamdec import (
     BchDecoder,
     GoppaDecoder,
     OracleDecoder,
+    _deg2_basis,
     make_decoder,
     oracle_decode,
 )
@@ -224,21 +225,42 @@ def test_goppa_key_equation_matches_poly_eea(name, data):
 
 
 def test_decoders_reject_symbols_outside_the_alphabet(bch15, bch15_dec):
-    with pytest.raises(RangeError):
-        bch15_dec.decode(bytes([4]) + bytes(14))
+    for bad in (bytes([4]) + bytes(14), [-1] + [0] * 14):
+        with pytest.raises(RangeError):
+            bch15_dec.decode(bad)
     F = build_field(5)
     code = goppa_build(F, list(F.elements()), find_irreducible(F, 3, seed=1), base=GF2)
-    with pytest.raises(RangeError):
-        GoppaDecoder(code).decode(bytes([2]) + bytes(31))
+    for bad in (bytes([2]) + bytes(31), [-1] + [0] * 31):
+        with pytest.raises(RangeError):
+            GoppaDecoder(code).decode(bad)
     # the oracle checks its input as the algebraic decoders do
     oracle = OracleDecoder(bch15, radius=2)
     for decode in (oracle.decode, lambda w: oracle_decode(bch15, w)):
-        with pytest.raises(RangeError):
-            decode(bytes([7]) + bytes(14))
+        for bad in (bytes([7]) + bytes(14), [300] + [0] * 14, [-1] + [0] * 14):
+            with pytest.raises(RangeError):
+                decode(bad)
         with pytest.raises(ConfigError):
             decode(bytes(3))
     with pytest.raises(RangeError):
         OracleDecoder(code, radius=3).decode(bytes([2]) + bytes(31))
+
+
+@pytest.mark.parametrize("m", range(2, 21, 2))
+def test_deg2_basis_solves_trace_zero_constants(m):
+    F = build_field(m)
+    roots = _deg2_basis(F)
+    for c in np.random.default_rng(m).integers(0, F.order, size=200).tolist():
+        trace = t = c
+        for _ in range(m - 1):
+            t = F.mul(t, t)
+            trace ^= t
+        assert trace in (0, 1)
+        y = 0
+        for i, r in enumerate(roots):
+            if c >> i & 1:
+                y ^= r
+        # y^2 + y always has trace zero, so a trace-one c gets no root
+        assert (F.mul(y, y) ^ y == c) == (trace == 0)
 
 
 def test_goppa_quaternary_single_errors():
