@@ -514,7 +514,7 @@ def build_parser():
     sp.add_argument("--seed", type=int)
     sp.add_argument("--d-sr", type=int, default=0)
     sp.add_argument("--jobs", type=int, default=1,
-                    help="accepted for compatibility; has no effect")
+                    help="deprecated and ignored; trials run serially")
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sp.add_argument("--no-timing", action="store_true",
                     help="zero the timing column for byte-reproducible output")

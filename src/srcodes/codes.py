@@ -117,49 +117,55 @@ class DefiningSet:
 
 
 # ----------------------------------------------------------------------
-# linear algebra over a small field (rows as lists of symbol values)
+# linear algebra over GF(2) and GF(4) on packed rows
 # ----------------------------------------------------------------------
 
 def rref(field, rows):
-    """Reduced row echelon form in place; returns the list of pivot columns."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.inv(rows[r][c])
-        if inv != 1:
-            rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x ^ field.mul(f, y) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    del rows[r:]
-    return pivots
+    """Reduced row echelon form over GF(2) or GF(4) of rows of symbol values:
+    (reduced, pivots), the nonzero reduced rows as bytes and their pivots.
+
+    A row is two ints, lo and hi, with bit 0 and bit 1 of each symbol at the
+    foot of its byte, the first column most significant.  Scaling by w maps
+    (lo, hi) to (hi, lo ^ hi), and clearing a column costs two XORs; over
+    GF(2), hi is 0.
+    """
+    rows = [bytes(r) for r in rows]
+    n = len(rows[0]) if rows else 0
+    ones = int.from_bytes(b"\x01" * n, "big")
+    packed = [int.from_bytes(r, "big") for r in rows]
+    if field.order not in (2, 4) or any(
+            len(r) != n or x & ~(ones * (field.order - 1)) for r, x in zip(rows, packed)):
+        raise RangeError("rref takes rows of one length over GF(2) or GF(4)")
+    rest = [(x & ones, x >> 1 & ones) for x in packed]
+    done = []
+    while any(lo | hi for lo, hi in rest):
+        # the row reaching furthest left gives the next pivot, scaled to 1
+        lead = [(lo | hi).bit_length() for lo, hi in rest]
+        lo, hi = rest.pop(lead.index(max(lead)))
+        b = (lo | hi).bit_length() - 1
+        if hi >> b & 1:  # the pivot is w^2 (times w) or w (times w^2)
+            lo, hi = (hi, lo ^ hi) if lo >> b & 1 else (lo ^ hi, lo)
+        multiples = (None, (lo, hi), (hi, lo ^ hi), (lo ^ hi, lo))
+        for part in (done, rest):
+            for i, (x, y) in enumerate(part):
+                f = (x >> b & 1) | (y >> b & 1) << 1
+                if f:
+                    mx, my = multiples[f]
+                    part[i] = (x ^ mx, y ^ my)
+        done.append((lo, hi))
+    return ([(lo | hi << 1).to_bytes(n, "big") for lo, hi in done],
+            [n - 1 - (lo | hi).bit_length() // 8 for lo, hi in done])
 
 
-def nullspace(field, rows, ncols):
-    """Basis of the right kernel of the matrix, as lists of symbol values."""
-    work = [list(r) for r in rows]
-    pivots = rref(field, work)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for r, p in enumerate(pivots):
-            v[p] = work[r][f]  # char 2: -a = a
-        basis.append(v)
-    return basis
+def nullspace(reduced, pivots, ncols):
+    """Right kernel of a matrix in the reduced form rref returns, as bytes:
+    per free column f, a 1 at f and column f at the pivots (char 2: -a = a)."""
+    free = sorted(set(range(ncols)) - set(pivots))
+    basis = np.zeros((len(free), ncols), dtype=np.uint8)
+    basis[np.arange(len(free)), free] = 1
+    matrix = np.frombuffer(b"".join(reduced), dtype=np.uint8).reshape(len(reduced), ncols)
+    basis[:, pivots] = matrix[:, free].T
+    return [v.tobytes() for v in basis]
 
 
 # ----------------------------------------------------------------------
@@ -220,12 +226,12 @@ class LinearCode(_Code):
             self.n = len(parity_rows[0])
         self.k = len(rows)
         self.generator_matrix = tuple(rows)
-        if check and rows:
-            work = [list(r) for r in rows]
-            if len(rref(base_field, work)) != self.k:
+        if (check and rows) or parity_rows is None:
+            reduced, pivots = rref(base_field, rows)
+            if check and len(pivots) != self.k:
                 raise ConstructionError("generator rows are linearly dependent")
-        if parity_rows is None:
-            parity_rows = nullspace(base_field, [list(r) for r in rows], self.n)
+            if parity_rows is None:
+                parity_rows = nullspace(reduced, pivots, self.n)
         self.parity_matrix = tuple(bytes(r) for r in parity_rows)
         if check:
             gen = self.generator_matrix
@@ -510,39 +516,28 @@ def goppa_build(field, locators, gpoly, base=GF2):
         locators = [a for a in field.elements() if poly_eval(field, gpoly, a) != 0]
     if len(set(locators)) != len(locators):
         raise ConstructionError("duplicate locators")
-    for a in locators:
-        if poly_eval(field, gpoly, a) == 0:
-            raise ConstructionError("a locator is a root of the Goppa polynomial")
+    gvals = [poly_eval(field, gpoly, a) for a in locators]
+    if 0 in gvals:
+        raise ConstructionError("a locator is a root of the Goppa polynomial")
     n = len(locators)
 
-    ginv = [field.inv(poly_eval(field, gpoly, a)) for a in locators]
-    big_rows = []
-    for j in range(r):
-        big_rows.append([field.mul(field.pow(a, j), gi)
-                         for a, gi in zip(locators, ginv)])
-
+    # row j holds a^j / G(a) at each locator a; each entry is written as its
+    # m_rel coordinates over the base, one expanded row per coordinate
+    ginv = [field.inv(g) for g in gvals]
+    big_rows = [[field.mul(field.pow(a, j), gi) for a, gi in zip(locators, ginv)]
+                for j in range(r)]
     if base.order == 2:
-        m_rel = field.m
-        expanded = []
-        for row in big_rows:
-            for t in range(field.m):
-                expanded.append([v >> t & 1 for v in row])
+        m_rel, coords = field.m, (lambda v: [v >> t & 1 for t in range(field.m)])
     elif base.order == 4:
         exp4 = gf4_expansion(field)
-        m_rel = exp4.h
-        expanded = []
-        for row in big_rows:
-            coords = [exp4.coords(v) for v in row]
-            for t in range(exp4.h):
-                expanded.append([c[t] for c in coords])
+        m_rel, coords = exp4.h, exp4.coords
     else:
         raise ConstructionError("base field must be GF(2) or GF(4)")
+    expanded = [bits for row in big_rows for bits in zip(*map(coords, row))]
 
-    pivots = rref(base, expanded)
-    k = n - len(pivots)
-    gen_rows = nullspace(base, expanded, n)
-    assert len(gen_rows) == k
-    if k < n - m_rel * r:
+    parity_rows, pivots = rref(base, expanded)
+    gen_rows = nullspace(parity_rows, pivots, n)
+    if len(gen_rows) < n - m_rel * r:
         raise AssertionError("Goppa dimension fell below the n - m*deg(G) bound")
 
     separable = base.order == 2 and poly_deg(
@@ -552,7 +547,7 @@ def goppa_build(field, locators, gpoly, base=GF2):
     else:
         d_lower, tag = r + 1, "goppa-bound"
 
-    code = LinearCode(base, gen_rows, parity_rows=expanded,
+    code = LinearCode(base, gen_rows, parity_rows=parity_rows,
                       d_lower=d_lower, d_tag=tag, check=False)
     code.goppa_info = GoppaInfo(field, locators, gpoly, base.order)
     return code

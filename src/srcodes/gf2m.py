@@ -380,22 +380,12 @@ def poly_divmod(field, f, g):
     return poly_trim(q), r
 
 
-def poly_mod(field, f, g):
-    return poly_divmod(field, f, g)[1]
-
-
 def poly_eval(field, f, x):
     acc = 0
     mul = field.mul
     for c in reversed(f):
         acc = mul(acc, x) ^ c
     return acc
-
-
-def poly_monic(field, f):
-    if not f:
-        return []
-    return poly_scale(field, f, field.inv(f[-1]))
 
 
 def poly_eea(field, f, g, stop_degree):
@@ -420,10 +410,11 @@ def poly_eea(field, f, g, stop_degree):
 
 
 def poly_gcd(field, f, g):
+    """The monic gcd; [] when f and g are both zero."""
     a, b = list(f), list(g)
     while b:
-        a, b = b, poly_mod(field, a, b)
-    return poly_monic(field, a)
+        a, b = b, poly_divmod(field, a, b)[1]
+    return poly_scale(field, a, field.inv(a[-1])) if a else []
 
 
 def poly_derivative(f):
@@ -431,34 +422,37 @@ def poly_derivative(f):
     return poly_trim([f[i] if i % 2 == 1 else 0 for i in range(1, len(f))])
 
 
-def poly_powmod(field, f, e, mod):
-    r = [1]
-    base = poly_mod(field, f, mod)
-    while e:
-        if e & 1:
-            r = poly_mod(field, poly_mul(field, r, base), mod)
-        base = poly_mod(field, poly_mul(field, base, base), mod)
-        e >>= 1
-    return r
-
-
 def poly_is_irreducible(field, f):
-    """Rabin irreducibility test for f over the given GF(2^m)."""
+    """Rabin's irreducibility test for f over the given GF(q), q = 2^m.
+
+    f of degree r is irreducible exactly when z^(q^r) = z mod f and
+    gcd(z^(q^(r/p)) - z, f) = 1 for every prime p dividing r.  z^(q^k) mod f
+    comes from k*m squarings on the exp/log tables: each squares every
+    coefficient into the even slots, then reduces once by f made monic.
+    """
     r = poly_deg(f)
-    if r <= 0:
-        return False
-    if r == 1:
-        return True
-    q = field.order
-    z = [0, 1]
-    t = poly_powmod(field, z, q ** r, f)
-    if poly_add(t, z):
-        return False
-    for p in _prime_factors(r):
-        t = poly_powmod(field, z, q ** (r // p), f)
-        if poly_deg(poly_gcd(field, poly_add(t, z), f)) != 0:
+    if r <= 1:
+        return r == 1
+    exp, log, om1 = field.exp, field.log, field.order - 1
+    tail = [(i, (log[c] - log[f[-1]]) % om1) for i, c in enumerate(f[:-1]) if c]
+    checks = {r // p for p in _prime_factors(r)}
+    t = [0, 1] + [0] * (r - 2)
+    for k in range(1, r + 1):
+        for _ in range(field.m):
+            s = [0] * (2 * r - 1)
+            for i, c in enumerate(t):
+                if c:
+                    s[2 * i] = exp[2 * log[c] % om1]
+            for j in range(2 * r - 2, r - 1, -1):
+                c = s[j]
+                if c:
+                    lc = log[c]
+                    for i, lf in tail:
+                        s[j - r + i] ^= exp[(lc + lf) % om1]
+            t = s[:r]
+        if k in checks and poly_deg(poly_gcd(field, poly_add(t, [0, 1]), f)) != 0:
             return False
-    return True
+    return not poly_add(t, [0, 1])
 
 
 GF2 = build_field(1)

@@ -89,20 +89,20 @@ class _AlgebraicDecoder:
         self._contrib = contrib
 
     def _syndrome(self, word):
+        """(packed syndrome, word as bytes)."""
         if len(word) != self.n:
             raise ConfigError(f"received length {len(word)} != {self.n}")
+        if not isinstance(word, bytes):
+            word = _symbol_bytes(word, self.code.base_field.order)
         acc = 0
         try:
-            # bytes hold no negative symbol, and a list's would index from the end
-            if not isinstance(word, bytes) and min(word, default=0) < 0:
-                raise IndexError
             for per_sym, sym in zip(self._contrib, word):
                 if sym:
                     acc ^= per_sym[sym]
         except IndexError:
             raise RangeError("received symbol outside GF(%d)"
                              % self.code.base_field.order) from None
-        return acc
+        return acc, word
 
     def _finish(self, received, acc, positions, omega, sigma):
         """The candidate for errors at `positions`, or a failure.
@@ -185,9 +185,9 @@ class BchDecoder(_AlgebraicDecoder):
         self._deg2_roots = _deg2_basis(F)
 
     def decode(self, received):
-        acc = self._syndrome(received)
+        acc, received = self._syndrome(received)
         if not acc:
-            return HammingDecodeResult(bytes(received), self._zero, SUCCESS)
+            return HammingDecodeResult(received, self._zero, SUCCESS)
         syn = acc & self._synmask
         if not syn:
             return _fail()
@@ -407,9 +407,9 @@ class GoppaDecoder(_AlgebraicDecoder):
         return np.flatnonzero(v == 0).tolist()
 
     def decode(self, received):
-        acc = self._syndrome(received)
+        acc, received = self._syndrome(received)
         if not acc:
-            return HammingDecodeResult(bytes(received), self._zero, SUCCESS)
+            return HammingDecodeResult(received, self._zero, SUCCESS)
         m, mask = self.field.m, self._mask
         S = poly_trim([(acc >> (j * m)) & mask for j in range(self._dM)])
 
@@ -474,18 +474,24 @@ def oracle_decode(code, received, budget=DEFAULT_BUDGET):
     """
     if len(received) != code.n:
         raise ConfigError(f"received length {len(received)} != {code.n}")
-    q = code.base_field.order
-    try:
-        rec = bytes(received)
-    except (TypeError, ValueError):  # a symbol outside 0..255
-        rec = None
-    if rec is None or rec.translate(None, bytes(range(q))):
-        raise RangeError(f"received symbol outside GF({q})")
+    rec = _symbol_bytes(received, code.base_field.order)
     _, tie, word = nearest_codeword(code, rec, budget)
     if tie:
         return _fail(tie=True)
     err = bytes(a ^ b for a, b in zip(rec, word))
     return HammingDecodeResult(word, err, SUCCESS)
+
+
+def _symbol_bytes(word, q):
+    """A received word as bytes, read symbol by symbol (bytes() of a numpy
+    array would copy its raw buffer); RangeError for a symbol outside GF(q)."""
+    try:
+        out = bytes(list(word))
+    except (TypeError, ValueError):  # a symbol outside 0..255, or not an integer
+        out = None
+    if out is None or out.translate(None, bytes(range(q))):
+        raise RangeError(f"received symbol outside GF({q})")
+    return out
 
 
 def make_decoder(code, radius=None, budget=DEFAULT_BUDGET):

@@ -17,6 +17,7 @@ harness with per-trial counter-mode seeding.
 """
 
 import time
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
@@ -229,9 +230,12 @@ def simulate(code, dec1, dec2, weights, trials, seed=0, d_sr=None, jobs=1):
 
     Per-trial generators are seeded counter-style from (seed, weight, trial)
     so the tallies depend only on the seed.  The configuration is checked
-    once per call.  Trials run in this process; jobs is accepted for
-    compatibility and has no effect.
+    once per call.  Trials run in this process; jobs is deprecated and has
+    no effect, and any value but 1 warns.
     """
+    if jobs != 1:
+        warnings.warn("simulate(jobs=...) is deprecated and ignored; trials run serially",
+                      DeprecationWarning, stacklevel=2)
     radius = _check_config(code, dec1, dec2, d_sr)
     rows = []
     for w in weights:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from srcodes.errors import BudgetError, ConstructionError, RangeError
-from srcodes.gf2m import GF2, GF4, build_field, gf4_embedding, poly_eval, vec_scale, vec_xor
+from srcodes.gf2m import (GF2, GF4, build_field, gf2_insert, gf2_reduce, gf4_embedding,
+                          poly_eval, vec_scale, vec_xor)
 from srcodes.codes import (
     DefiningSet,
     LinearCode,
@@ -18,6 +19,8 @@ from srcodes.codes import (
     goppa_pair_dimension,
     longest_cyclic_run,
     min_distance_bruteforce,
+    nullspace,
+    rref,
     scale_code,
 )
 
@@ -158,6 +161,88 @@ def test_bch_dim_lower_bound_values():
     assert bch_dim_lower_bound(3, 14) == 2 * 69
     with pytest.raises(RangeError):
         bch_dim_lower_bound(2, 5)
+
+
+# ----------------------------------------------------------------------
+# row reduction
+# ----------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_rref_and_nullspace_properties(data):
+    field = data.draw(st.sampled_from([GF2, GF4]), label="field")
+    q = field.order
+    ncols = data.draw(st.integers(1, 40), label="ncols")
+    row = st.lists(st.integers(0, q - 1), min_size=ncols, max_size=ncols).map(bytes)
+    # up to 12 random rows, then zero, repeated and dependent ones: the
+    # matrix comes out tall or wide
+    rows = data.draw(st.lists(row, min_size=1, max_size=12), label="rows")
+    extras = st.tuples(st.sampled_from(["zero", "repeat", "sum"]), st.integers(0, 99),
+                       st.integers(0, 99), st.integers(1, q - 1))
+    for kind, i, j, s in data.draw(st.lists(extras, max_size=8), label="extras"):
+        a, b = rows[i % len(rows)], rows[j % len(rows)]
+        rows.append({"zero": bytes(ncols), "repeat": a, "sum": vec_xor(vec_scale(a, s), b)}[kind])
+    rows = data.draw(st.permutations(rows), label="order")
+
+    reduced, pivots = rref(field, rows)
+    # reduced echelon form: a leading 1 per row, alone in its column
+    assert pivots == sorted(set(pivots)) and len(reduced) == len(pivots)
+    for k, p in enumerate(pivots):
+        assert not any(reduced[k][:p])
+        assert [r[p] for r in reduced] == [int(i == k) for i in range(len(reduced))]
+    # the input rows lie in the span of the output rows ...
+    for v in rows:
+        for r, p in zip(reduced, pivots):
+            v = vec_xor(v, vec_scale(r, v[p]))
+        assert not any(v)
+    # ... and the output rows in the GF(4)-span of the input rows, which is
+    # the GF(2)-span of the rows and their w-multiples
+    span = []
+    for v in rows:
+        for s in (1, 2)[:q // 2]:
+            gf2_insert(span, int.from_bytes(vec_scale(v, s), "big"))
+    assert all(gf2_reduce(span, int.from_bytes(r, "big")) == 0 for r in reduced)
+
+    kernel = nullspace(reduced, pivots, ncols)
+    assert len(pivots) + len(kernel) == ncols
+    assert len(rref(field, kernel)[1]) == len(kernel)
+    for k in kernel:
+        for v in rows:
+            acc = 0
+            for a, b in zip(k, v):
+                acc ^= field.mul(a, b)
+            assert acc == 0
+
+
+def test_rref_rejects_bad_matrices():
+    with pytest.raises(RangeError):
+        rref(GF2, [bytes([0, 2, 1])])
+    with pytest.raises(RangeError):
+        rref(GF4, [bytes([1, 4])])
+    with pytest.raises(RangeError):
+        rref(GF4, [bytes([1, 2]), bytes([1])])
+    with pytest.raises(RangeError):
+        rref(build_field(4), [bytes([1, 2])])
+
+
+# md5 of the generator rows, "|", then the parity rows, recorded before rref
+# worked on packed rows; a matrix has only one reduced echelon form
+GOPPA_MATRIX_MD5 = {
+    "binary32": (5, 3, 1, GF2, "2b0b91c04f962083f4a1c2d0b1ec52aa"),
+    "quaternary64": (6, 4, 2, GF4, "1960c1d237260d95475ff2020da68186"),
+    "goppa256-channel-c2": (8, 16, 4, GF4, "0bbf92720ebdb8ad9a19a929f5e39d4f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOPPA_MATRIX_MD5))
+def test_goppa_matrices_golden(name):
+    import hashlib
+
+    m, degree, seed, base, digest = GOPPA_MATRIX_MD5[name]
+    F = build_field(m)
+    code = goppa_build(F, None, find_irreducible(F, degree, seed=seed), base=base)
+    data = b"".join(code.generator_matrix) + b"|" + b"".join(code.parity_matrix)
+    assert hashlib.md5(data).hexdigest() == digest
 
 
 # ----------------------------------------------------------------------

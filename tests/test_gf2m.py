@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,18 @@ def test_irreducible_counts_over_gf2(m, count):
     # the number of irreducible binary polynomials of each degree (OEIS A001037)
     polys = ([c >> i & 1 for i in range(m)] + [1] for c in range(1 << m))
     assert sum(poly_is_irreducible(GF2, f) for f in polys) == count
+
+
+@pytest.mark.parametrize("m, degree, count", [
+    (2, 1, 4), (2, 2, 6), (2, 3, 20), (2, 4, 60), (2, 5, 204),
+    (4, 1, 16), (4, 2, 120), (4, 3, 1360),
+])
+def test_irreducible_counts_over_gf4(m, degree, count):
+    # monic irreducibles over GF(q): (1/d) * sum over e | d of mu(e) q^(d/e);
+    # GF(16) rows too, so the test is not over GF(4) alone
+    F = build_field(m)
+    polys = (list(c) + [1] for c in itertools.product(range(F.order), repeat=degree))
+    assert sum(poly_is_irreducible(F, f) for f in polys) == count
 
 
 def test_degree_out_of_range():

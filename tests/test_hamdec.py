@@ -245,6 +245,30 @@ def test_decoders_reject_symbols_outside_the_alphabet(bch15, bch15_dec):
         OracleDecoder(code, radius=3).decode(bytes([2]) + bytes(31))
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+def test_numpy_words_decode_as_their_bytes(bch15, bch15_dec, dtype):
+    # bytes() of a numpy array copies its raw buffer, 8 bytes per int64 symbol
+    F = build_field(6)
+    goppa = goppa_build(F, None, find_irreducible(F, 4, seed=2), base=GF4)
+    oracle = OracleDecoder(bch15, radius=2)
+    cases = [(bch15, bch15_dec.decode), (goppa, GoppaDecoder(goppa).decode),
+             (bch15, oracle.decode), (bch15, lambda w: oracle_decode(bch15, w))]
+    for code, decode in cases:
+        cw = code.encode([(3 * i + 1) % 4 for i in range(code.k)])
+        for word in (cw, _add_error(cw, [3], [2])[0], _add_error(cw, [0, 5], [1, 3])[0]):
+            res = decode(np.frombuffer(word, dtype=np.uint8).astype(dtype))
+            assert res == decode(word)
+            assert res.codeword is None or len(res.codeword) == code.n
+        bad = np.zeros(code.n, dtype=dtype)
+        bad[1] = 4
+        with pytest.raises(RangeError):
+            decode(bad)
+        if dtype != np.uint8:
+            bad[1] = -1
+            with pytest.raises(RangeError):
+                decode(bad)
+
+
 @pytest.mark.parametrize("m", range(2, 21, 2))
 def test_deg2_basis_solves_trace_zero_constants(m):
     F = build_field(m)

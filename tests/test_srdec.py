@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -341,8 +342,12 @@ def test_simulate_rows_do_not_depend_on_jobs(pair15):
     # an oracle C2 decoder over 2^20 words scans every enumeration chunk
     code, dec1, _ = pair15
     dec2 = OracleDecoder(code.c2)
-    rows = [simulate(code, dec1, dec2, [0, 2], 3, seed=14, jobs=jobs)
-            for jobs in (1, 2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # jobs=1, which perfbench passes, is silent
+        rows = [simulate(code, dec1, dec2, [0, 2], 3, seed=14, jobs=1)]
+    with pytest.warns(DeprecationWarning, match="jobs") as record:
+        rows.append(simulate(code, dec1, dec2, [0, 2], 3, seed=14, jobs=2))
+    assert len(record) == 1
     for row in rows[0] + rows[1]:
         row.pop("mean_decode_micros")
     assert rows[0] == rows[1]
