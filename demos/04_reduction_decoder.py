@@ -26,7 +26,7 @@ code = sr_construct(c1, c2)
 dec1, dec2 = BchDecoder(c1), BchDecoder(c2)
 print("code:", code)
 print("component decoders correct", dec1.radius, "and", dec2.radius, "errors")
-print("sum-rank decoding radius:", (code.d_sr_lower - 1) // 2)
+print("sum-rank decoding radius:", (code.d_sr_decodable - 1) // 2)
 
 rng = np.random.default_rng(1)
 bits = [int(b) for b in rng.integers(0, 2, size=code.f2_dimension)]
@@ -36,7 +36,7 @@ print()
 print("== weight-2 errors of every shape decode exactly ==")
 for seed in range(4):
     err = sample_error(15, 2, seed)
-    res = sr_decode(code, dec1, dec2, sent + err, 6)
+    res = sr_decode(code, dec1, dec2, sent + err)
     profile = [(a != 0, b != 0) for a, b in zip(err.coeff_x, err.coeff_x2) if a or b]
     print(f"error blocks {profile} -> {res.status}, branch {res.succeeded_branch},"
           f" recovered = {res.codeword == sent and res.error == err}")
@@ -48,7 +48,7 @@ T2 = DefiningSet.from_cosets(63, [0, 1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 14])
 C1, C2 = bch_build(63, T1), bch_build(63, T2)
 big = sr_construct(C1, C2)
 D1, D2 = BchDecoder(C1), BchDecoder(C2)
-print("pair:", C1, "+", C2, "-> radius", (24 - 1) // 2)
+print("pair:", C1, "+", C2, "-> radius", (big.d_sr_decodable - 1) // 2)
 
 # eleven rank-1 blocks with overlapping supports: the x-slot error alone has
 # weight 11, beyond the x-slot decoder's radius 7
@@ -68,7 +68,7 @@ received = sent + err
 
 direct = D2.decode(received.coeff_x)
 print("decoding the x slot directly:", direct.status)
-res = sr_decode(big, D1, D2, received, 24)
+res = sr_decode(big, D1, D2, received)
 print("reduction decoder:", res.status, "on branch", res.succeeded_branch,
       "-> exact recovery:", res.codeword == sent and res.error == err)
 print("branch log:", res.candidates_considered)

@@ -10,7 +10,7 @@ from srcodes import BchDecoder, DefiningSet, bch_build, simulate, sr_construct
 c1 = bch_build(15, (1, 6))
 c2 = bch_build(15, DefiningSet.from_cosets(15, [0, 1, 2]))
 code = sr_construct(c1, c2)
-radius = (code.d_sr_lower - 1) // 2
+radius = (code.d_sr_decodable - 1) // 2
 print(f"{code}; guaranteed radius {radius}")
 print()
 

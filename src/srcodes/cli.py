@@ -323,6 +323,7 @@ def cmd_build_sr(args):
     print(f"length {code.n}")
     print(f"f2_dimension {code.f2_dimension}")
     print(f"d_sr_lower {d}")
+    print(f"d_sr_decodable {code.d_sr_decodable}")
     print(f"decoder_ready {'yes' if code.decoder_ready else 'no'}")
     if d is not None and d != float("inf"):
         cap = singleton_bound(code.n, int(d))
@@ -391,9 +392,8 @@ def cmd_decode(args):
     c2 = read_code_file(args.c2)
     code = sr_construct(c1, c2)
     received = read_word_file(args.word)
-    d_sr = args.d_sr if args.d_sr else code.d_sr_lower
     res = sr_decode(code, make_decoder(c1, budget=args.budget),
-                    make_decoder(c2, budget=args.budget), received, d_sr)
+                    make_decoder(c2, budget=args.budget), received, args.d_sr or None)
     print(f"status {res.status}")
     branches = " ".join(f"{b}:{s}" for b, s in res.candidates_considered)
     print(f"branches {branches if branches else '-'}")

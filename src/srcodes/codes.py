@@ -29,6 +29,7 @@ from .gf2m import (
     poly_is_irreducible,
     poly_mul,
     poly_trim,
+    vec_checked,
     vec_scale,
 )
 
@@ -104,10 +105,6 @@ class DefiningSet:
     def designed_distance(self):
         _, run = longest_cyclic_run(self.exponents, self.n)
         return run + 1
-
-    @property
-    def run(self):
-        return longest_cyclic_run(self.exponents, self.n)
 
     def __len__(self):
         return len(self.exponents)
@@ -258,6 +255,7 @@ class LinearCode(_Code):
         return _xor_selected(self._packed, msg, self.n)
 
     def syndrome(self, word):
+        word = vec_checked(word, self.base_field.order)
         mul = self.base_field.mul
         out = []
         for h in self.parity_matrix:
@@ -314,7 +312,7 @@ class AdditiveCode(_Code):
 
     def syndrome(self, word):
         # reduction residue doubles as a membership syndrome
-        return gf2_reduce(self._echelon, int.from_bytes(bytes(word), "big"))
+        return gf2_reduce(self._echelon, int.from_bytes(vec_checked(word, 4), "big"))
 
     def __repr__(self):
         d = self.d_exact if self.d_exact is not None else self.d_designed
@@ -328,16 +326,10 @@ def _xor_selected(packed, bits, n):
 
 def _checked_message(message, length, order=2):
     """The message as bytes; RangeError unless it has `length` symbols below order."""
-    msg = list(message)
+    msg = vec_checked(message, order)
     if len(msg) != length:
         raise RangeError(f"message length {len(msg)} != {length}")
-    try:
-        out = bytes(msg)
-    except (TypeError, ValueError):
-        out = None
-    if out is None or out.translate(None, bytes(range(order))):
-        raise RangeError(f"message symbols must lie in 0..{order - 1}")
-    return out
+    return msg
 
 
 def additive_build(generators, d_lower=1, d_tag="declared"):
@@ -345,7 +337,7 @@ def additive_build(generators, d_lower=1, d_tag="declared"):
 
     Dependent vectors are dropped; their count is kept on the result.
     """
-    gens = [bytes(g) for g in generators]
+    gens = [vec_checked(g, 4) for g in generators]
     if gens and any(len(g) != len(gens[0]) for g in gens):
         raise ConstructionError("generators of unequal length")
     n = len(gens[0]) if gens else 0

@@ -477,3 +477,15 @@ def vec_xor(a, b):
 def vec_scale(v, s):
     """Scale a GF(4) byte vector by the symbol s."""
     return v.translate(SCALE4[s])
+
+
+def vec_checked(symbols, q):
+    """The symbols as a byte vector, read one by one (bytes() of a numpy
+    array would copy its raw buffer); RangeError for a symbol outside GF(q)."""
+    try:
+        out = bytes(list(symbols))
+    except (TypeError, ValueError):  # a symbol outside 0..255, or not an integer
+        out = None
+    if out is None or out.translate(None, bytes(range(q))):
+        raise RangeError(f"symbol outside GF({q})")
+    return out

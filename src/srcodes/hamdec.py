@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import BudgetError, ConfigError, RangeError
 from .gf2m import (build_field, gf2_insert, gf2_reduce, gf4_embedding, poly_deg,
-                   poly_derivative, poly_eea, poly_gcd, poly_mul, poly_trim)
+                   poly_derivative, poly_eea, poly_gcd, poly_mul, poly_trim, vec_checked)
 from .codes import DEFAULT_BUDGET, cyclotomic_coset, nearest_codeword
 
 SUCCESS = "success"
@@ -93,7 +93,7 @@ class _AlgebraicDecoder:
         if len(word) != self.n:
             raise ConfigError(f"received length {len(word)} != {self.n}")
         if not isinstance(word, bytes):
-            word = _symbol_bytes(word, self.code.base_field.order)
+            word = vec_checked(word, self.code.base_field.order)
         acc = 0
         try:
             for per_sym, sym in zip(self._contrib, word):
@@ -474,7 +474,7 @@ def oracle_decode(code, received, budget=DEFAULT_BUDGET):
     """
     if len(received) != code.n:
         raise ConfigError(f"received length {len(received)} != {code.n}")
-    rec = _symbol_bytes(received, code.base_field.order)
+    rec = vec_checked(received, code.base_field.order)
     _, tie, word = nearest_codeword(code, rec, budget)
     if tie:
         return _fail(tie=True)
@@ -482,26 +482,10 @@ def oracle_decode(code, received, budget=DEFAULT_BUDGET):
     return HammingDecodeResult(word, err, SUCCESS)
 
 
-def _symbol_bytes(word, q):
-    """A received word as bytes, read symbol by symbol (bytes() of a numpy
-    array would copy its raw buffer); RangeError for a symbol outside GF(q)."""
-    try:
-        out = bytes(list(word))
-    except (TypeError, ValueError):  # a symbol outside 0..255, or not an integer
-        out = None
-    if out is None or out.translate(None, bytes(range(q))):
-        raise RangeError(f"received symbol outside GF({q})")
-    return out
-
-
-def make_decoder(code, radius=None, budget=DEFAULT_BUDGET):
+def make_decoder(code, budget=DEFAULT_BUDGET):
     """Pick the natural decoder for a code: BCH, Goppa, or the oracle."""
     if getattr(code, "bch_info", None) is not None:
-        dec = BchDecoder(code)
-    elif getattr(code, "goppa_info", None) is not None:
-        dec = GoppaDecoder(code)
-    else:
-        return OracleDecoder(code, radius=radius, budget=budget)
-    if radius is not None and radius > dec.radius:
-        raise ConfigError(f"requested radius {radius} exceeds decoder radius {dec.radius}")
-    return dec
+        return BchDecoder(code)
+    if getattr(code, "goppa_info", None) is not None:
+        return GoppaDecoder(code)
+    return OracleDecoder(code, budget=budget)

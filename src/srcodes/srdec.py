@@ -5,9 +5,10 @@ C1 once, then strip the recovered x^2 part and evaluate the remainder at
 the three nonzero field points beta in {1, w, w^2}.  Blocks where both
 error coefficients are nonzero vanish at exactly one beta, so by
 pigeonhole one of the three evaluations lands within half the minimal
-distance of C2 whenever wt_sr(error) <= floor((d_sr - 1) / 2) and
-d2 >= 2 d_sr / 3.  Each evaluation is decoded against C2 after undoing
-the scalar (the scaled code beta*C2 is equivalent to C2).
+distance of C2 whenever wt_sr(error) <= floor((d_sr - 1) / 2) and d_sr
+is at most SumRankCode.d_sr_decodable.  Each evaluation is decoded
+against C2 after undoing the scalar (the scaled code beta*C2 is
+equivalent to C2).
 
 A verified candidate within the radius is the unique nearest codeword, so
 the branch scan stops at the first one; the decoder never returns an
@@ -61,26 +62,24 @@ class SrDecodeResult:
 
 
 def _check_config(code, dec1, dec2, d_sr):
-    """Validate the declared distance against the components; return the radius."""
+    """Validate d_sr (default code.d_sr_decodable) and the decoders; return the radius."""
+    top = code.d_sr_decodable
+    if top is None:
+        raise ConfigError("a zero component leaves no decodable distance")
     if d_sr is None:
-        d_sr = code.d_sr_lower
-    if d_sr is None or d_sr == float("inf") or d_sr != int(d_sr):
-        raise ConfigError("a finite declared decoding distance is required")
-    d_sr = int(d_sr)
-    d1 = code.c1.d_lower or 0
-    d2 = code.c2.d_lower or 0
-    radius = (d_sr - 1) // 2
-    if d1 < d_sr:
-        raise ConfigError(f"C1 distance {d1} below the declared d_sr = {d_sr}")
-    if 3 * d2 < 2 * d_sr:
-        raise ConfigError(f"C2 distance {d2} below 2*{d_sr}/3")
+        d_sr = top
+    if not 1 <= d_sr <= top or d_sr != int(d_sr):
+        raise ConfigError(f"declared d_sr = {d_sr} is not an integer in 1..{top}, the "
+                          f"d_sr_decodable of C1 distance {code.c1.d_lower} and "
+                          f"C2 distance {code.c2.d_lower}")
+    radius = (int(d_sr) - 1) // 2
+    r2 = (code.c2.d_lower - 1) // 2
     if dec1.radius < radius:
         raise ConfigError(f"C1 decoder radius {dec1.radius} < {radius}")
-    if dec2.radius < (d2 - 1) // 2:
-        raise ConfigError(f"C2 decoder radius {dec2.radius} < {(d2 - 1) // 2}")
-    if dec1.code is not code.c1 or dec2.code is not code.c2:
-        if dec1.code.n != code.n or dec2.code.n != code.n:
-            raise ConfigError("decoder/code length mismatch")
+    if dec2.radius < r2:
+        raise ConfigError(f"C2 decoder radius {dec2.radius} < {r2}")
+    if dec1.code.n != code.n or dec2.code.n != code.n:
+        raise ConfigError("decoder/code length mismatch")
     return radius
 
 
@@ -88,9 +87,10 @@ def sr_decode(code, dec1, dec2, received, d_sr=None):
     """Bounded-distance decoding of a received SrWord.
 
     Guaranteed exact for every error of sum-rank weight up to
-    floor((d_sr - 1) / 2) when the component hypotheses hold; outside the
-    radius it returns a typed failure or, if two verified candidates tie,
-    the ambiguous state - never a guess.
+    floor((d_sr - 1) / 2); d_sr defaults to code.d_sr_decodable, and a
+    larger one is a ConfigError.  Outside the radius it returns a typed
+    failure or, if two verified candidates tie, the ambiguous state -
+    never a guess.
     """
     radius = _check_config(code, dec1, dec2, d_sr)
     if len(received.coeff_x2) != received.length:
@@ -236,6 +236,8 @@ def simulate(code, dec1, dec2, weights, trials, seed=0, d_sr=None, jobs=1):
     if jobs != 1:
         warnings.warn("simulate(jobs=...) is deprecated and ignored; trials run serially",
                       DeprecationWarning, stacklevel=2)
+    if trials < 0:
+        raise RangeError(f"trials = {trials} is negative")
     radius = _check_config(code, dec1, dec2, d_sr)
     rows = []
     for w in weights:

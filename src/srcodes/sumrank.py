@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetError, ConstructionError, RangeError
-from .gf2m import GF4, vec_xor
+from .gf2m import GF4, vec_checked, vec_xor
 from .codes import DEFAULT_BUDGET, iter_codeword_chunks
 
 
@@ -71,8 +71,10 @@ class SrWord(NamedTuple):
         return len(self.coeff_x)
 
     def to_matrices(self):
-        return tuple(_MAT_OF_PAIR[a0 << 2 | a1]
-                     for a0, a1 in zip(self.coeff_x, self.coeff_x2))
+        x, x2 = vec_checked(self.coeff_x, 4), vec_checked(self.coeff_x2, 4)
+        if len(x) != len(x2):
+            raise RangeError("coefficient vectors of unequal length")
+        return tuple(_MAT_OF_PAIR[a0 << 2 | a1] for a0, a1 in zip(x, x2))
 
     def __add__(self, other):
         return SrWord(vec_xor(self.coeff_x, other.coeff_x),
@@ -148,19 +150,23 @@ class SumRankCode:
         return max(min(d1, 2 * d2), min(d2, 2 * d1))
 
     @property
-    def d_sr(self):
-        return self.d_sr_exact if self.d_sr_exact is not None else self.d_sr_lower
+    def d_sr_decodable(self):
+        """The largest d_sr that meets the reduction decoder's hypotheses,
+        d1 >= d_sr and 3 d2 >= 2 d_sr; None when a component is the zero code.
+        Never above d_sr_lower: min(d1, 2 d2) >= min(d, 4d/3) = d for this d.
+        """
+        d1, d2 = self.c1.d_lower, self.c2.d_lower
+        return None if d1 is None or d2 is None else min(d1, 3 * d2 // 2)
 
     def decoder_ready_for(self, d_sr):
-        """The reduction decoder's hypotheses against a target distance."""
-        d1 = self.c1.d_lower or 0
-        d2 = self.c2.d_lower or 0
-        return d1 >= d_sr and 3 * d2 >= 2 * d_sr
+        """Whether the reduction decoder is exact up to floor((d_sr - 1) / 2)."""
+        return 1 <= d_sr <= (self.d_sr_decodable or 0)
 
     @property
     def decoder_ready(self):
-        d = self.d_sr_lower
-        return d is not None and d != math.inf and self.decoder_ready_for(d)
+        """Whether the decoder reaches the construction bound d_sr_lower."""
+        d = self.d_sr_decodable
+        return d is not None and d == self.d_sr_lower
 
     def split_message(self, bits):
         """The C1 and C2 parts of a message; the components check the bits."""

@@ -259,6 +259,18 @@ def test_cmd_build_and_manifest(tmp_path):
     manifest = dict(line.split(" ", 1) for line in out.strip().splitlines())
     assert manifest["f2_dimension"] == "170"
     assert manifest["d_sr_lower"] == "14"
+    assert manifest["d_sr_decodable"] == "10"   # d1 = 14, d2 = 7
+    assert manifest["decoder_ready"] == "no"
+
+    # with no --d-sr, decode works at d_sr_decodable, radius 4
+    from srcodes.cli import write_word_file
+    from srcodes.srdec import sample_error
+    from srcodes.sumrank import sr_construct
+    code = sr_construct(read_code_file(c1), read_code_file(c2))
+    word = tmp_path / "w.word"
+    write_word_file(code.encode([1, 0] * 85) + sample_error(63, 4, 3), word)
+    rc, out, _ = run_cli("decode", "--c1", str(c1), "--c2", str(c2), "--word", str(word))
+    assert rc == 0 and "error_weight 4" in out
 
 
 def test_cmd_build_sr_mismatched_lengths(tmp_path):

@@ -345,6 +345,20 @@ def test_additive_empty_is_zero_code():
     assert add.d_lower is None
 
 
+def test_symbols_outside_the_field_are_range_errors():
+    with pytest.raises(RangeError):
+        additive_build([[7, 0], [1, 1]])
+    bad = bytes([9]) + bytes(14)
+    bch = bch_build(15, (1, 4))
+    F = build_field(5)
+    binary = goppa_build(F, None, find_irreducible(F, 3, seed=1), base=GF2)
+    for code, word in ((bch, bad), (as_additive(bch), bad),
+                       (binary, bytes([2]) + bytes(binary.n - 1))):
+        with pytest.raises(RangeError):
+            code.contains(word)
+        assert not code.contains(bytes(code.n - 1))
+
+
 def test_additive_closure_property():
     rng = np.random.default_rng(9)
     gens = [bytes(int(x) for x in rng.integers(0, 4, size=10)) for _ in range(5)]

@@ -199,6 +199,9 @@ def test_config_errors(pair15):
         sr_decode(code, dec1, dec2, word, 7)      # d1 = 6 < 7
     with pytest.raises(ConfigError):
         sr_decode(code, dec1, dec2, word, 20)
+    for d_sr in (0, -3, 5.5):                 # radius -1 or not an integer
+        with pytest.raises(ConfigError):
+            sr_decode(code, dec1, dec2, word, d_sr)
     bad = sr_construct(code.c1, bch_build(15, DefiningSet.from_cosets(15, [5, 6])))
     with pytest.raises(ConfigError):
         sr_decode(bad, dec1, BchDecoder(bad.c2), word, 6)  # d2 = 3 < 4
@@ -321,6 +324,22 @@ def test_simulate_within_radius_all_success(pair15):
         assert row["success"] == 60
         assert row["failure"] == row["ambiguous"] == 0
         assert row["dec1_calls_max"] == 1 and row["dec2_calls_max"] <= 3
+
+
+def test_simulate_defaults_to_the_decodable_distance():
+    # the bch255-channel pair: d_sr_lower = 34 breaks 3 d2 >= 2 d_sr with
+    # d2 = 22, while d_sr_decodable = 33 keeps the radius 16
+    c1, c2 = bch_build(255, (1, 32)), bch_build(255, (1, 22))
+    code = sr_construct(c1, c2)
+    assert (code.d_sr_lower, code.d_sr_decodable) == (34, 33)
+    rows = simulate(code, BchDecoder(c1), BchDecoder(c2), [0, 16], 8, seed=3)
+    assert [r["success"] for r in rows] == [8, 8]
+
+
+def test_simulate_rejects_negative_trials(pair15):
+    code, dec1, dec2 = pair15
+    with pytest.raises(RangeError):
+        simulate(code, dec1, dec2, [0], -1)
 
 
 def test_simulate_beyond_radius_reports_only(pair15):

@@ -1,10 +1,12 @@
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from srcodes.errors import BudgetError, ConstructionError, RangeError
+from srcodes.errors import BudgetError, ConfigError, ConstructionError, RangeError
 from srcodes.gf2m import GF4
 from srcodes.codes import (
     DefiningSet,
@@ -31,7 +33,8 @@ from srcodes.sumrank import (
     sumrank_weight_formula,
     sr_distance,
 )
-from srcodes.srdec import sr_oracle_decode
+from srcodes.hamdec import BchDecoder
+from srcodes.srdec import sr_decode, sr_oracle_decode
 
 
 # ----------------------------------------------------------------------
@@ -81,6 +84,12 @@ def test_weight_examples():
     w = SrWord(bytes([2, 2]), bytes([1, 0]))
     assert sumrank_weight(w) == 3
     assert sumrank_weight_formula(bytes([1, 0]), bytes([2, 2])) == 3
+
+
+def test_weight_rejects_malformed_words():
+    for word in (SrWord(b"\x05", b"\x00"), SrWord(b"\x01\x01", b"\x00")):
+        with pytest.raises(RangeError):
+            sumrank_weight(word)
 
 
 def test_formula_exhaustive_length_2():
@@ -263,6 +272,43 @@ def test_decoder_ready_flag():
     assert sr_construct(c1, c2_good).decoder_ready
     assert not sr_construct(c1, c2_bad).decoder_ready
     assert sr_construct(c1, c2_bad).decoder_ready_for(4)
+
+
+_LEADERS15 = (0, 1, 2, 3, 5, 6, 7, 10, 11)  # one per 4-cyclotomic coset mod 15
+
+
+@functools.lru_cache(maxsize=None)
+def _bch15(leaders):
+    return bch_build(15, DefiningSet.from_cosets(15, leaders))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sets(st.sampled_from(_LEADERS15), min_size=1, max_size=8),
+       st.sets(st.sampled_from(_LEADERS15), min_size=1, max_size=8))
+def test_decodable_distance_rule(t1, t2):
+    c1, c2 = _bch15(tuple(sorted(t1))), _bch15(tuple(sorted(t2)))
+    code = sr_construct(c1, c2)
+    d, d1, d2, lower = code.d_sr_decodable, c1.d_lower, c2.d_lower, code.d_sr_lower
+    assert d <= lower
+    # ready: the hypotheses hold at the construction bound
+    assert code.decoder_ready == (d1 >= lower and 3 * d2 >= 2 * lower)
+    for target in range(-3, 32):
+        ready = code.decoder_ready_for(target)
+        assert ready == (1 <= target <= d)
+        # the paper's hypotheses, written out
+        assert ready == (target >= 1 and d1 >= target and 3 * d2 >= 2 * target)
+
+
+def test_zero_component_has_no_decodable_distance():
+    c1 = bch_build(15, (1, 6))
+    eye = [[int(i == j) for j in range(15)] for i in range(15)]
+    zero = LinearCode(GF4, [], parity_rows=eye)
+    dec = BchDecoder(c1)
+    for code in (sr_construct(c1, zero), sr_construct(zero, c1)):
+        assert code.d_sr_decodable is None
+        assert not code.decoder_ready and not code.decoder_ready_for(1)
+        with pytest.raises(ConfigError):
+            sr_decode(code, dec, dec, sr_zero(15))
 
 
 def test_sr_budget():
