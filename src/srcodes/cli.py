@@ -178,8 +178,6 @@ def load_code(text):
         code = additive_build(rows, d_lower=d_lower, d_tag=tag)
         if code.f2_dimension != _int(_required(fields, "f2dim")):
             raise ConstructionError("declared f2dim does not match the generators")
-        if code.n != n:
-            raise ConstructionError("declared length does not match the rows")
     else:
         if rows:
             code = LinearCode(base, rows, d_lower=d_lower, d_tag=tag)
@@ -188,8 +186,8 @@ def load_code(text):
             code = LinearCode(base, [], parity_rows=eye, d_lower=d_lower, d_tag=tag)
         if code.k != _int(fields.get("dimension", str(len(rows)))):
             raise ConstructionError("declared dimension does not match the rows")
-        if code.n != n:
-            raise ConstructionError("declared length does not match the rows")
+    if code.n != n:
+        raise ConstructionError("declared length does not match the rows")
     if "dexact" in fields:
         code.d_exact = _int(fields["dexact"])
     return code

@@ -28,6 +28,8 @@ first, with trailing zeros trimmed; the zero polynomial is [] with degree -1.
 
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import ConstructionError, EmbedError, RangeError
 
 MAX_DEGREE = 20
@@ -141,28 +143,33 @@ class FieldContext:
         raise ConstructionError("no generator found (impossible for a field)")
 
     def _build_tables(self):
-        n = self.order - 1
-        exp = [0] * n
-        log = [-1] * self.order
-        g = self.generator
-        mod = self.modulus
-        m = self.m
-        x = 1
-        if g == 2:
-            # multiplication by x is a shift + conditional reduce
-            for i in range(n):
-                exp[i] = x
-                log[x] = i
-                x <<= 1
-                if x >> m & 1:
-                    x ^= mod
-        else:
-            for i in range(n):
-                exp[i] = x
-                log[x] = i
-                x = _bp_mulmod(x, g, mod)
-        self.exp = exp
-        self.log = log
+        """exp by doubling, exp[k:2k] = exp[:k] * g^k, then log[exp] = arange.
+
+        Multiplying by g^k is GF(2)-linear, so each level reads it from one
+        256-entry table per byte of the element, built from the images of
+        single bits.  The tables are kept as lists, which the decoders index.
+        """
+        n, mod = self.order - 1, self.modulus
+        nbytes = (self.m + 7) // 8
+        byte_bits = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(bool)  # [v, j]
+        exp = np.empty(n, dtype=np.uint32)
+        exp[0] = k = 1
+        while k < n:
+            gk = _bp_mulmod(int(exp[k - 1]), self.generator, mod)
+            images = np.array([_bp_mulmod(gk, 1 << i, mod) for i in range(8 * nbytes)],
+                              dtype=np.uint32).reshape(nbytes, 1, 8)
+            tables = np.bitwise_xor.reduce(np.where(byte_bits, images, 0), axis=2)  # [b, v]
+            s = min(k, n - k)
+            exp[k:k + s] = tables[0][exp[:s] & 255]
+            for b in range(1, nbytes):
+                exp[k:k + s] ^= tables[b][exp[:s] >> 8 * b & 255]
+            k += s
+        log = np.empty(n + 1, dtype=np.int32)
+        log[exp] = np.arange(n, dtype=np.int32)
+        log[0] = -1
+        self.exp = exp.tolist()
+        del exp  # freed before the second list is made
+        self.log = log.tolist()
 
     # -- element operations ------------------------------------------------
 
@@ -471,6 +478,8 @@ SCALE4 = tuple(
 def vec_xor(a, b):
     """Coordinatewise sum; GF(4) and GF(2) addition are both XOR."""
     n = len(a)
+    if n != len(b):
+        raise RangeError(f"vectors of unequal length {n} and {len(b)}")
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(n, "big")
 
 

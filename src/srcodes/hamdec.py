@@ -24,14 +24,13 @@ roots of sigma among all locators come from one numpy gather and XOR-reduce
 in the log domain.
 """
 
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import BudgetError, ConfigError, RangeError
-from .gf2m import (build_field, gf2_insert, gf2_reduce, gf4_embedding, poly_deg,
-                   poly_derivative, poly_eea, poly_gcd, poly_mul, poly_trim, vec_checked)
+from .gf2m import (gf2_insert, gf2_reduce, gf4_embedding, poly_deg, poly_derivative,
+                   poly_gcd, poly_mul, poly_trim, vec_checked)
 from .codes import DEFAULT_BUDGET, cyclotomic_coset, nearest_codeword
 
 SUCCESS = "success"
@@ -333,21 +332,22 @@ class GoppaDecoder(_AlgebraicDecoder):
         self.binary = info.base_order == 2
         squarefree = poly_deg(poly_gcd(F, G, poly_derivative(G))) == 0
         if self.binary and squarefree:
-            self._modulus = poly_mul(F, G, G)
-            self.radius = r
+            M, self.radius = poly_mul(F, G, G), r
         else:
-            self._modulus = G
-            self.radius = r // 2
-        dM = poly_deg(self._modulus)
-        self._dM = dM
-        self._stop = dM - self.radius
+            M, self.radius = G, r // 2
+        self._modulus, self._dM = M, poly_deg(M)
+        self._stop = self._dM - self.radius
         self.locators = info.locators
 
-        # the coefficients of (z - a_i)^{-1} mod modulus
+        # (z - a)^{-1} mod M = Q_a(z) / M(a): Horner's rule for M(a) passes
+        # through the coefficients of Q_a = (M(z) - M(a)) / (z - a), top first
         columns = []
         for a in self.locators:
-            rem, _, v = poly_eea(F, self._modulus, [a, 1], 1)
-            columns.append([F.div(c, rem[0]) for c in v])
+            q = [M[-1]]
+            for c in M[-2::-1]:
+                q.append(c ^ F.mul(a, q[-1]))
+            inv_ma = F.inv(q.pop())
+            columns.append([F.mul(c, inv_ma) for c in reversed(q)])
         super().__init__(code, F, (0, 1) if self.binary else gf4_embedding(F), columns)
 
         # sigma's roots are the locators themselves, and q_i = 1
@@ -361,7 +361,7 @@ class GoppaDecoder(_AlgebraicDecoder):
         # locator 0 is a placeholder: sigma(0) is read off as sigma_0.
         lga = np.array([max(la, 0) for la in self._ptlog], dtype=np.int64)
         self._powlog = np.arange(self.radius + 1, dtype=np.int64)[:, None] * lga % om1 - om1
-        self._exp_table = _exp_table(F.m, F.modulus)
+        self._exp_table = np.array(F.exp, dtype=np.uint32)
         self._zero_at = self.locators.index(0) if 0 in self.locators else None
 
     def _key_equation(self, S):
@@ -423,14 +423,6 @@ class GoppaDecoder(_AlgebraicDecoder):
             return _fail()
         # binary error values are all 1
         return self._finish(received, acc, positions, None if self.binary else omega, sigma)
-
-
-@lru_cache(maxsize=None)
-def _exp_table(m, modulus):
-    """GF(2^m)'s exp table as a read-only uint32 array, shared per field."""
-    table = np.array(build_field(m, modulus).exp, dtype=np.uint32)
-    table.flags.writeable = False
-    return table
 
 
 class OracleDecoder:

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigError, RangeError
 from .gf2m import vec_scale, vec_xor
 from .codes import DEFAULT_BUDGET
-from .sumrank import SrWord, sr_sweep, sr_zero, sumrank_weight_formula
+from .sumrank import SrWord, _weight, sr_sweep, sr_zero
 
 _BETA_SQ = {1: 1, 2: 3, 3: 2}
 
@@ -123,7 +123,7 @@ def _sr_decode(dec1, dec2, received, radius):
             continue
         c2 = res2.codeword
         e0 = vec_xor(y0, c2)
-        w = sumrank_weight_formula(e1, e0)
+        w = _weight(e1, e0)
         considered.append((beta, "candidate"))
         if w <= radius:
             # unique nearest codeword inside the radius: stop scanning
@@ -157,9 +157,7 @@ def sr_oracle_decode(code, received, budget=DEFAULT_BUDGET):
     _, tie, codeword = sr_sweep(code, received, budget)
     if tie:
         return SrDecodeResult(STATUS_AMBIGUOUS)
-    error = SrWord(vec_xor(received.coeff_x, codeword.coeff_x),
-                   vec_xor(received.coeff_x2, codeword.coeff_x2))
-    return SrDecodeResult(STATUS_SUCCESS, codeword=codeword, error=error)
+    return SrDecodeResult(STATUS_SUCCESS, codeword=codeword, error=received + codeword)
 
 
 # ----------------------------------------------------------------------
@@ -213,12 +211,7 @@ def sample_error(length, w, rng):
 
 def min_branch_weight(e0, e1):
     """min over beta of wt_H(beta*e0 + beta^2*e1); the pigeonhole quantity."""
-    best = None
-    for beta in (1, 2, 3):
-        w = len(e0) - vec_xor(vec_scale(e0, beta),
-                              vec_scale(e1, _BETA_SQ[beta])).count(0)
-        best = w if best is None else min(best, w)
-    return best
+    return min(len(e0) - evaluate_word(SrWord(e0, e1), beta).count(0) for beta in (1, 2, 3))
 
 
 # ----------------------------------------------------------------------

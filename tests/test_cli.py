@@ -134,6 +134,8 @@ def test_malformed_fields_are_construction_errors():
     lin = dump_code(packaged_code("linear_12_8_4.code"))
     goppa = dump_code(_goppa32())
     bad = [_with_line(bch, "length", "length abc"),
+           _with_line(bch, "length", "length 16"),
+           _with_line(goppa, "length", "length 31"),
            _with_line(bch, "dmin", "dmin x declared"),
            _with_line(lin, "dimension", "dimension q"),
            bch + "dexact z\n",

@@ -77,6 +77,37 @@ def test_exp_log_roundtrip_and_generator_order(m):
         assert F.pow(g, 1) != 1
 
 
+def _reference_tables(m, modulus, g):
+    """exp and log by stepping x -> x*g, one element at a time."""
+    n = (1 << m) - 1
+    exp, log = [0] * n, [-1] * (n + 1)
+    x = 1
+    for i in range(n):
+        exp[i], log[x] = x, i
+        if g == 2:
+            x <<= 1
+            if x >> m & 1:
+                x ^= modulus
+        else:
+            y, x = x, 0
+            for bit in range(g.bit_length()):
+                if g >> bit & 1:
+                    x ^= y
+                y <<= 1
+                if y >> m & 1:
+                    y ^= modulus
+    return exp, log
+
+
+@pytest.mark.parametrize("m, modulus", sorted(DEFAULT_MODULI.items()) + [(8, 0x11B)])
+def test_tables_match_reference_loop(m, modulus):
+    F = build_field(m, modulus)
+    assert F.generator == (3 if modulus == 0x11B else 1 if m == 1 else 2)
+    exp, log = _reference_tables(m, modulus, F.generator)
+    assert F.exp == exp
+    assert F.log == log
+
+
 def test_gf4_is_the_unique_field():
     assert GF4.mul(2, 2) == 3          # w * w = w^2 = w + 1
     assert GF4.mul(2, 3) == 1          # w * w^2 = 1
@@ -239,5 +270,8 @@ def test_vector_helpers():
     a = bytes([0, 1, 2, 3])
     b = bytes([1, 1, 0, 2])
     assert vec_xor(a, b) == bytes([1, 0, 2, 1])
+    for u, v in ((a, b[:3]), (b[:3], a)):
+        with pytest.raises(RangeError):
+            vec_xor(u, v)
     assert vec_scale(a, 2) == bytes([0, 2, 3, 1])
     assert vec_scale(a, 1) == a

@@ -87,9 +87,21 @@ def test_weight_examples():
 
 
 def test_weight_rejects_malformed_words():
-    for word in (SrWord(b"\x05", b"\x00"), SrWord(b"\x01\x01", b"\x00")):
+    for word in (SrWord(b"\x05", b"\x00"), SrWord(b"\x01\x01", b"\x00"),
+                 SrWord(b"\x00", b"\x04"), SrWord(b"\x00\x00", b"\x00\xff")):
         with pytest.raises(RangeError):
             sumrank_weight(word)
+        with pytest.raises(RangeError):
+            sumrank_weight_formula(word.coeff_x2, word.coeff_x)
+        with pytest.raises(RangeError):
+            sr_distance(word, sr_zero(word.length))
+
+
+def test_words_of_unequal_length_do_not_add():
+    long, short = SrWord(b"\x01\x01", b"\x01\x01"), SrWord(b"\x01", b"\x00")
+    for u, v in ((long, short), (short, long)):
+        with pytest.raises(RangeError):
+            u + v
 
 
 def test_formula_exhaustive_length_2():
@@ -99,13 +111,12 @@ def test_formula_exhaustive_length_2():
             assert sumrank_weight(w) == sumrank_weight_formula(bytes(y), bytes(x))
 
 
-def test_formula_random_long():
-    rng = np.random.default_rng(0)
-    for _ in range(300):
-        n = int(rng.integers(1, 65))
-        a1 = bytes(int(v) for v in rng.integers(0, 4, size=n))
-        a2 = bytes(int(v) for v in rng.integers(0, 4, size=n))
-        assert sumrank_weight_formula(a1, a2) == sumrank_weight(SrWord(a2, a1))
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=64))
+def test_formula_random_long(blocks):
+    # each block is (x^2 coefficient, x coefficient)
+    a1, a2 = bytes(b[0] for b in blocks), bytes(b[1] for b in blocks)
+    assert sumrank_weight_formula(a1, a2) == sumrank_weight(SrWord(a2, a1))
 
 
 def test_formula_degenerate_cases():
