@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,8 +105,21 @@ def test_tables_match_reference_loop(m, modulus):
     F = build_field(m, modulus)
     assert F.generator == (3 if modulus == 0x11B else 1 if m == 1 else 2)
     exp, log = _reference_tables(m, modulus, F.generator)
-    assert F.exp == exp
-    assert F.log == log
+    # lists for small fields, 4-byte arrays for large ones
+    assert list(F.exp) == exp
+    assert list(F.log) == log
+
+
+def test_large_field_tables_are_compact():
+    # GF(2^20)'s two tables as lists of ints held 76 MB
+    tracemalloc.start()
+    try:
+        F = FieldContext(20)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 16 << 20
+    assert F.exp.itemsize == F.log.itemsize == 4
 
 
 def test_gf4_is_the_unique_field():
@@ -195,11 +209,11 @@ def test_embed_rejects_odd_degree():
 
 
 def test_gf4_expansion_roundtrip():
-    for m in (4, 6, 10):
+    for m in (2, 4, 6, 10):
         T = build_field(m)
         exp4 = gf4_expansion(T)
         img = gf4_embedding(T)
-        for e in (0, 1, 5, T.order - 2):
+        for e in T.elements():
             coords = exp4.coords(e)
             acc = 0
             for sym, b in zip(coords, exp4.basis):

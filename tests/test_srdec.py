@@ -48,12 +48,7 @@ def pair15():
 
 @pytest.fixture(scope="module")
 def tiny():
-    rep4 = LinearCode(GF4, [bytes([1, 1, 1, 1])], d_lower=4, d_tag="declared")
-    mds = LinearCode(GF4, [bytes([1, 0, 1, 1]), bytes([0, 1, 1, 2])],
-                     d_lower=3, d_tag="declared")
-    assert min_distance_bruteforce(mds)[0] == 3
-    code = sr_construct(rep4, mds)
-    return code, OracleDecoder(rep4, radius=1), OracleDecoder(mds, radius=1)
+    return ORACLE_CASES["rep4-mds"]
 
 
 # ----------------------------------------------------------------------
@@ -217,6 +212,41 @@ def test_unequal_halves_are_a_range_error(pair15):
 # ----------------------------------------------------------------------
 # oracle
 # ----------------------------------------------------------------------
+
+def _oracle_cases():
+    # pairs small enough for sr_oracle_decode to enumerate within DEFAULT_BUDGET
+    rep4 = LinearCode(GF4, [bytes([1, 1, 1, 1])], d_lower=4, d_tag="declared")
+    mds = LinearCode(GF4, [bytes([1, 0, 1, 1]), bytes([0, 1, 1, 2])],
+                     d_lower=3, d_tag="declared")
+    assert min_distance_bruteforce(mds)[0] == 3
+    rep15 = bch_build(15, (1, 15))   # [15,1,15]
+    bch8 = bch_build(15, (0, 6))     # [15,8,6]; the pair has 2^18 words, radius 4
+    return {"rep4-mds": (sr_construct(rep4, mds), OracleDecoder(rep4, radius=1),
+                         OracleDecoder(mds, radius=1)),
+            "bch15-rep": (sr_construct(rep15, bch8), BchDecoder(rep15), BchDecoder(bch8))}
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_decoder_agrees_with_oracle_inside_radius(name, data):
+    # inside the radius the sent word is the unique nearest codeword, so the
+    # reduction decoder and the exhaustive sweep both return it
+    code, dec1, dec2 = ORACLE_CASES[name]
+    d_sr = code.d_sr_decodable
+    w = data.draw(st.integers(0, (d_sr - 1) // 2))
+    sent = code.encode(data.draw(st.lists(st.integers(0, 1), min_size=code.f2_dimension,
+                                          max_size=code.f2_dimension)))
+    received = sent + sample_error(code.n, w, data.draw(st.integers(0, 2 ** 32)))
+    res = sr_decode(code, dec1, dec2, received, d_sr)
+    oracle = sr_oracle_decode(code, received)
+    assert res.ok and oracle.ok
+    assert res.codeword == oracle.codeword == sent
+    assert res.error == oracle.error
+
 
 def test_oracle_returns_member(tiny):
     code, _, _ = tiny
