@@ -93,6 +93,14 @@ def _int(text, base=10):
     return v
 
 
+def _arg_int(text, flag):
+    """A non-negative integer given for a command-line flag."""
+    try:
+        return _int(str(text))
+    except ConstructionError:
+        raise RangeError(f"{flag} expects a non-negative integer, got {text!r}") from None
+
+
 def _required(fields, key):
     if key not in fields:
         raise ConstructionError(f"missing {key!r} line")
@@ -379,6 +387,8 @@ def cmd_bounds(args):
 
 def cmd_encode(args):
     code = sr_construct(read_code_file(args.c1), read_code_file(args.c2))
+    if args.message.strip("01"):
+        raise RangeError(f"--message expects a string of 0s and 1s, got {args.message!r}")
     word = code.encode([int(c) for c in args.message])
     write_word_file(word, args.out)
     print(f"wrote length-{word.length} word to {args.out}")
@@ -410,8 +420,11 @@ def cmd_simulate(args):
     c1 = read_code_file(args.c1)
     c2 = read_code_file(args.c2)
     code = sr_construct(c1, c2)
-    weights = [int(t) for t in args.weights.split(",")]
-    seed = args.seed if args.seed is not None else int(os.environ.get("SRCODES_SEED", "0"))
+    weights = [_arg_int(t, "--weights") for t in args.weights.split(",")]
+    if args.seed is not None:
+        seed = _arg_int(args.seed, "--seed")
+    else:
+        seed = _arg_int(os.environ.get("SRCODES_SEED", "0"), "SRCODES_SEED")
     rows = simulate(code, make_decoder(c1, budget=args.budget),
                     make_decoder(c2, budget=args.budget), weights, args.trials, seed=seed,
                     d_sr=args.d_sr or None, jobs=args.jobs)

@@ -10,7 +10,10 @@ returned, so a wrong codeword is never handed to the caller.
 
 Syndrome evaluation packs all syndrome coordinates of one received symbol
 into a single integer (field addition is XOR, so whole syndrome vectors
-accumulate with one XOR per position).  The BCH decoder packs the designed
+accumulate with one XOR per position).  Errors of weight at most one are
+decoded by lookup: a zero syndrome is a codeword, and when the radius is at
+least one, a table built once per decoder maps the packed syndrome of each
+single-symbol error back to that error.  The BCH decoder packs the designed
 syndromes together with one syndrome per cyclotomic coset of the defining
 set, so a single pass over the word yields both the decoding syndromes and
 the membership check; a candidate is verified by adding the syndromes of
@@ -56,16 +59,18 @@ def _fail(status=DECODE_FAILURE, tie=False):
 class _AlgebraicDecoder:
     """The part of alternant decoding that BCH and Goppa codes share.
 
-    A subclass passes the parity column of each position and sets `radius`,
-    `_ptlog` and `_qlog`: the error value at position i is
+    A subclass passes the parity column of each position and the radius,
+    sets `_ptlog` and `_qlog`, and decodes a nonzero packed syndrome in
+    `_decode_syndrome`: the error value at position i is
     e_i = omega(p_i) / (q_i * sigma'(p_i)), where _ptlog[i] = log p_i (-1
     when p_i = 0) and _qlog[i] = log q_i.
     """
 
-    def __init__(self, code, field, img, columns):
+    def __init__(self, code, field, img, columns, radius):
         self.code = code
         self.field = field
         self.n = code.n
+        self.radius = radius
         exp, log, om1 = field.exp, field.log, field.order - 1
         self._exp, self._log, self._om1 = exp, log, om1
         self._mask = (1 << field.m) - 1
@@ -87,6 +92,13 @@ class _AlgebraicDecoder:
             contrib.append(per_sym)
         self._contrib = contrib
 
+        # the single-symbol error (i, s) behind each packed syndrome of
+        # weight one.  The packed syndrome vanishes only on codewords, so a
+        # hit is the unique codeword at distance one; radius >= 1 (d >= 3)
+        # keeps the keys distinct, and below it the table stays empty.
+        self._single = {per_sym[s]: (i, s) for i, per_sym in enumerate(contrib)
+                        for s in range(1, len(img))} if radius >= 1 else {}
+
     def _syndrome(self, word):
         """(packed syndrome, word as bytes)."""
         if len(word) != self.n:
@@ -102,6 +114,20 @@ class _AlgebraicDecoder:
             raise RangeError("received symbol outside GF(%d)"
                              % self.code.base_field.order) from None
         return acc, word
+
+    def decode(self, received):
+        """The codeword within the radius of `received`, or a typed failure."""
+        acc, received = self._syndrome(received)
+        if not acc:
+            return HammingDecodeResult(received, self._zero, SUCCESS)
+        hit = self._single.get(acc)
+        if hit is None:
+            return self._decode_syndrome(acc, received)
+        i, s = hit
+        n = self.n
+        err = s << 8 * (n - 1 - i)
+        return HammingDecodeResult((int.from_bytes(received, "big") ^ err).to_bytes(n, "big"),
+                                   err.to_bytes(n, "big"), SUCCESS)
 
     def _finish(self, received, acc, positions, omega, sigma):
         """The candidate for errors at `positions`, or a failure.
@@ -160,7 +186,6 @@ class BchDecoder(_AlgebraicDecoder):
         exp, log, om1 = F.exp, F.log, F.order - 1
         logg = log[info.alpha]
         self.nsyn = info.delta - 1
-        self.radius = (info.delta - 1) // 2
 
         # the designed run in the low nsyn*m bits, then one syndrome for
         # each coset of the defining set that the run misses.  S_{4j} is the
@@ -171,7 +196,8 @@ class BchDecoder(_AlgebraicDecoder):
         powers = run + sorted(c[0] for c in cosets
                               if not any(e % n in c for e in run))
         super().__init__(code, F, gf4_embedding(F),
-                         [[exp[logg * e * i % om1] for e in powers] for i in range(n)])
+                         [[exp[logg * e * i % om1] for e in powers] for i in range(n)],
+                         self.nsyn // 2)
         self._shifts = [j * F.m for j in range(self.nsyn)]
         self._synmask = (1 << (self.nsyn * F.m)) - 1
 
@@ -183,10 +209,7 @@ class BchDecoder(_AlgebraicDecoder):
         self._chien_logstep = [(-j * logg) % om1 for j in range(self.radius + 1)]
         self._deg2_roots = _deg2_basis(F)
 
-    def decode(self, received):
-        acc, received = self._syndrome(received)
-        if not acc:
-            return HammingDecodeResult(received, self._zero, SUCCESS)
+    def _decode_syndrome(self, acc, received):
         syn = acc & self._synmask
         if not syn:
             return _fail()
@@ -332,11 +355,11 @@ class GoppaDecoder(_AlgebraicDecoder):
         self.binary = info.base_order == 2
         squarefree = poly_deg(poly_gcd(F, G, poly_derivative(G))) == 0
         if self.binary and squarefree:
-            M, self.radius = poly_mul(F, G, G), r
+            M, radius = poly_mul(F, G, G), r
         else:
-            M, self.radius = G, r // 2
+            M, radius = G, r // 2
         self._modulus, self._dM = M, poly_deg(M)
-        self._stop = self._dM - self.radius
+        self._stop = self._dM - radius
         self.locators = info.locators
 
         # (z - a)^{-1} mod M = Q_a(z) / M(a): Horner's rule for M(a) passes
@@ -348,7 +371,8 @@ class GoppaDecoder(_AlgebraicDecoder):
                 q.append(c ^ F.mul(a, q[-1]))
             inv_ma = F.inv(q.pop())
             columns.append([F.mul(c, inv_ma) for c in reversed(q)])
-        super().__init__(code, F, (0, 1) if self.binary else gf4_embedding(F), columns)
+        super().__init__(code, F, (0, 1) if self.binary else gf4_embedding(F), columns,
+                         radius)
 
         # sigma's roots are the locators themselves, and q_i = 1
         om1 = self._om1
@@ -406,10 +430,7 @@ class GoppaDecoder(_AlgebraicDecoder):
             v[self._zero_at] = sigma[0]
         return np.flatnonzero(v == 0).tolist()
 
-    def decode(self, received):
-        acc, received = self._syndrome(received)
-        if not acc:
-            return HammingDecodeResult(received, self._zero, SUCCESS)
+    def _decode_syndrome(self, acc, received):
         m, mask = self.field.m, self._mask
         S = poly_trim([(acc >> (j * m)) & mask for j in range(self._dM)])
 

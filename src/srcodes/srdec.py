@@ -26,9 +26,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError, RangeError
-from .gf2m import vec_scale, vec_xor
+from .gf2m import SCALE4, vec_checked, vec_scale, vec_xor
 from .codes import DEFAULT_BUDGET
-from .sumrank import SrWord, _weight, sr_sweep, sr_zero
+from .sumrank import SrWord, sr_sweep, sr_zero
 
 _BETA_SQ = {1: 1, 2: 3, 3: 2}
 
@@ -98,6 +98,8 @@ def sr_decode(code, dec1, dec2, received, d_sr=None):
                          f"{received.length} and {len(received.coeff_x2)}")
     if received.length != code.n:
         raise ConfigError(f"received length {received.length} != {code.n}")
+    if not isinstance(received.coeff_x, bytes):  # _sr_decode reads it as an integer
+        received = SrWord(vec_checked(received.coeff_x, 4), received.coeff_x2)
     return _sr_decode(dec1, dec2, received, radius)
 
 
@@ -105,48 +107,48 @@ def _sr_decode(dec1, dec2, received, radius):
     """The body of sr_decode, for a configuration that has been checked."""
     res1 = dec1.decode(received.coeff_x2)
     if not res1.ok:
-        return SrDecodeResult(STATUS_C1_FAILURE, dec1_calls=1,
-                              candidates_considered=())
+        return SrDecodeResult(STATUS_C1_FAILURE, None, None, None, (), 1, 0)
     c1, e1 = res1.codeword, res1.error
 
+    # Words are big-endian integers, one byte per GF(4) symbol, so a branch
+    # input y0 + beta*e1 and a candidate's e0 = y0 + c2 are single XORs, and
+    # a support keeps bit 0 of each byte: wt_sr = 2|s0| + 2|s1| - 3|s0 & s1|.
     y0 = received.coeff_x
+    n = len(y0)
+    ones = (1 << 8 * n) // 255
+    iy0 = int.from_bytes(y0, "big")
+    ie1 = int.from_bytes(e1, "big")
+    s1 = (ie1 | ie1 >> 1) & ones
+    w1 = 2 * s1.bit_count()
     considered = []
     candidates = []
-    dec2_calls = 0
     for beta in (1, 2, 3):
-        branch_in = y0 if beta == 1 and not any(e1) else \
-            vec_xor(y0, vec_scale(e1, beta))
-        res2 = dec2.decode(branch_in)
-        dec2_calls += 1
+        if s1:
+            scaled = ie1 if beta == 1 else int.from_bytes(e1.translate(SCALE4[beta]), "big")
+            res2 = dec2.decode((iy0 ^ scaled).to_bytes(n, "big"))
+        else:
+            res2 = dec2.decode(y0)
         if not res2.ok:
             considered.append((beta, res2.status))
             continue
         c2 = res2.codeword
-        e0 = vec_xor(y0, c2)
-        w = _weight(e1, e0)
+        ie0 = iy0 ^ int.from_bytes(c2, "big")
+        s0 = (ie0 | ie0 >> 1) & ones
+        w = w1 + 2 * s0.bit_count() - 3 * (s0 & s1).bit_count()
         considered.append((beta, "candidate"))
         if w <= radius:
             # unique nearest codeword inside the radius: stop scanning
-            return SrDecodeResult(
-                STATUS_SUCCESS,
-                codeword=SrWord(c2, c1),
-                error=SrWord(e0, e1),
-                succeeded_branch=beta,
-                candidates_considered=tuple(considered),
-                dec1_calls=1, dec2_calls=dec2_calls)
-        candidates.append((w, beta, c2))
+            return SrDecodeResult(STATUS_SUCCESS, SrWord(c2, c1),
+                                  SrWord(ie0.to_bytes(n, "big"), e1), beta,
+                                  tuple(considered), 1, len(considered))
+        candidates.append((w, c2))
 
+    status = STATUS_ALL_BRANCHES_FAILED
     if candidates:
-        candidates.sort(key=lambda t: t[0])
-        wmin = candidates[0][0]
-        tied = {c2 for w, _, c2 in candidates if w == wmin}
-        if len(tied) > 1:
-            return SrDecodeResult(STATUS_AMBIGUOUS,
-                                  candidates_considered=tuple(considered),
-                                  dec1_calls=1, dec2_calls=dec2_calls)
-    return SrDecodeResult(STATUS_ALL_BRANCHES_FAILED,
-                          candidates_considered=tuple(considered),
-                          dec1_calls=1, dec2_calls=dec2_calls)
+        wmin = min(w for w, _ in candidates)
+        if len({c2 for w, c2 in candidates if w == wmin}) > 1:
+            status = STATUS_AMBIGUOUS
+    return SrDecodeResult(status, None, None, None, tuple(considered), 1, len(considered))
 
 
 def sr_oracle_decode(code, received, budget=DEFAULT_BUDGET):
@@ -218,19 +220,30 @@ def min_branch_weight(e0, e1):
 # channel simulation
 # ----------------------------------------------------------------------
 
+def _is_count(value):
+    return isinstance(value, (int, np.integer)) and value >= 0
+
+
 def simulate(code, dec1, dec2, weights, trials, seed=0, d_sr=None, jobs=1):
     """Monte Carlo channel runs; returns one tally row per weight.
 
     Per-trial generators are seeded counter-style from (seed, weight, trial)
     so the tallies depend only on the seed.  The configuration is checked
-    once per call.  Trials run in this process; jobs is deprecated and has
-    no effect, and any value but 1 warns.
+    once per call, and so are the weights (integers in 0..2n), trials and
+    seed (non-negative integers): RangeError before any trial runs.  Trials
+    run in this process; jobs is deprecated and has no effect, and any value
+    but 1 warns.
     """
     if jobs != 1:
         warnings.warn("simulate(jobs=...) is deprecated and ignored; trials run serially",
                       DeprecationWarning, stacklevel=2)
-    if trials < 0:
-        raise RangeError(f"trials = {trials} is negative")
+    for name, value in (("trials", trials), ("seed", seed)):
+        if not _is_count(value):
+            raise RangeError(f"{name} = {value!r} is not a non-negative integer")
+    weights = list(weights)
+    for w in weights:
+        if not _is_count(w) or w > 2 * code.n:
+            raise RangeError(f"weight {w!r} is not an integer in 0..{2 * code.n}")
     radius = _check_config(code, dec1, dec2, d_sr)
     rows = []
     for w in weights:

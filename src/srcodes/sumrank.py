@@ -100,11 +100,6 @@ def sumrank_weight_formula(a1, a2):
     a1, a2 = vec_checked(a1, 4), vec_checked(a2, 4)
     if len(a1) != len(a2):
         raise RangeError("coefficient vectors of unequal length")
-    return _weight(a1, a2)
-
-
-def _weight(a1, a2):
-    """sumrank_weight_formula for GF(4) byte vectors of equal length, unchecked."""
     s1 = int.from_bytes(a1.translate(_NONZERO), "big")
     s2 = int.from_bytes(a2.translate(_NONZERO), "big")
     overlap = (s1 & s2).bit_count()

@@ -1,4 +1,5 @@
 import functools
+import os
 import subprocess
 import sys
 
@@ -22,9 +23,10 @@ from srcodes.cli import (
 )
 
 
-def run_cli(*argv):
-    proc = subprocess.run([sys.executable, "-m", "srcodes.cli", *argv],
-                          capture_output=True, text=True)
+def run_cli(*argv, env=None):
+    proc = subprocess.run([sys.executable, "-m", "srcodes", *argv],
+                          capture_output=True, text=True,
+                          env=None if env is None else {**os.environ, **env})
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -358,6 +360,33 @@ def test_cmd_decode_failure_exit_code(tmp_path):
                          "--word", str(word), "--d-sr", "6")
     assert rc == 4
     assert "status" in out
+
+
+@pytest.mark.parametrize("argv, env, flag", [
+    (("simulate", "--trials", "2", "--weights", "1,x"), None, "--weights"),
+    (("simulate", "--trials", "2", "--weights", "1,,2"), None, "--weights"),
+    (("simulate", "--trials", "2", "--weights", "-1"), None, "--weights"),
+    (("simulate", "--trials", "2", "--weights", "1", "--seed", "-3"), None, "--seed"),
+    (("simulate", "--trials", "2", "--weights", "1"), {"SRCODES_SEED": "abc"}, "SRCODES_SEED"),
+    (("encode", "--message", "0x1", "--out", "w.word"), None, "--message"),
+], ids=["weights_word", "weights_empty", "weights_negative", "seed_negative",
+        "env_seed", "message_hex"])
+def test_cmd_usage_errors_exit_2(tmp_path, argv, env, flag):
+    c1 = tmp_path / "c1.code"
+    c2 = tmp_path / "c2.code"
+    write_code_file(bch_build(15, (1, 6)), c1)
+    write_code_file(bch_build(15, (1, 4)), c2)
+    rc, out, err = run_cli(argv[0], "--c1", str(c1), "--c2", str(c2), *argv[1:], env=env)
+    assert rc == 2 and flag in err and "Traceback" not in err
+    assert out == ""
+
+
+def test_cli_module_entry_points():
+    # python -m srcodes runs without runpy's warning; -m srcodes.cli still works
+    assert run_cli("coset", "--n", "15", "--s", "1") == (0, "1,4\n", "")
+    proc = subprocess.run([sys.executable, "-m", "srcodes.cli", "coset", "--n", "15", "--s", "1"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "1,4\n"
 
 
 def test_cmd_simulate_determinism(tmp_path):

@@ -304,6 +304,60 @@ def test_goppa_quaternary_single_errors():
                 assert res.ok and res.codeword == cw and res.error == e
 
 
+def test_radius_zero_decoders_have_no_lookup():
+    # d = 2: two single errors can share a packed syndrome, so a table keyed
+    # on them would return a wrong codeword as a success
+    F = build_field(4)
+    for dec in (BchDecoder(bch_build(15, (1, 2))),
+                GoppaDecoder(goppa_build(F, None, [1, 1], base=GF4))):
+        code = dec.code
+        assert dec.radius == 0 and not dec._single
+        cw = code.encode([(3 * j + 1) % 4 for j in range(code.k)])
+        for i in range(code.n):
+            for v in (1, 2, 3):
+                rec, _ = _add_error(cw, [i], [v])
+                assert dec.decode(rec) == (None, None, "decode_failure", False)
+
+
+def _lookup_cases():
+    F4, F5 = build_field(4), build_field(5)
+    codes = {
+        "bch15_8_6": bch_build(15, (1, 6)),
+        "bch15_10_4": bch_build(15, DefiningSet.from_cosets(15, [0, 1, 2])),
+        "goppa_binary32": goppa_build(F5, list(F5.elements()), find_irreducible(F5, 3, seed=1),
+                                      base=GF2),
+        # the locator 0 included
+        "goppa_quaternary12": goppa_build(F4, list(F4.elements())[:12],
+                                          find_irreducible(F4, 4, seed=1), base=GF4),
+    }
+    cases = {}
+    for name, code in codes.items():
+        bare = make_decoder(code)
+        bare._single = {}
+        cases[name] = (make_decoder(code), bare)
+    return cases
+
+
+LOOKUP_CASES = _lookup_cases()
+
+
+@pytest.mark.parametrize("name", sorted(LOOKUP_CASES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_single_error_lookup_matches_algebraic_path(name, data):
+    # words at Hamming distance 0-3 from a random codeword decode the same
+    # with the single-error table and with the table emptied
+    dec, bare = LOOKUP_CASES[name]
+    code = dec.code
+    q = code.base_field.order
+    assert len(dec._single) == code.n * (q - 1)
+    msg = data.draw(st.lists(st.integers(0, q - 1), min_size=code.k, max_size=code.k))
+    pos = data.draw(st.lists(st.integers(0, code.n - 1), max_size=3, unique=True))
+    vals = data.draw(st.lists(st.integers(1, q - 1), min_size=len(pos), max_size=len(pos)))
+    rec, _ = _add_error(code.encode(msg), pos, vals)
+    assert dec.decode(rec) == bare.decode(rec)
+
+
 def test_bch_block25_decoding_offset_run():
     # the [25,2,20] defining set's longest root run starts at exponent 16,
     # and the locator field is GF(2^20): exercises the general-offset

@@ -209,6 +209,15 @@ def test_unequal_halves_are_a_range_error(pair15):
             sr_decode(code, dec1, dec2, SrWord(coeff_x, coeff_x2), 6)
 
 
+def test_list_words_with_bad_symbols_are_range_errors(pair15):
+    # _sr_decode reads the x part as an integer, so a list word is checked first
+    code, dec1, dec2 = pair15
+    for bad in ([-1] + [0] * 14, [300] + [0] * 14, [5] + [0] * 14):
+        for coeff_x2 in (bytes(15), bytes([1]) + bytes(14)):
+            with pytest.raises(RangeError):
+                sr_decode(code, dec1, dec2, SrWord(bad, coeff_x2), 6)
+
+
 # ----------------------------------------------------------------------
 # oracle
 # ----------------------------------------------------------------------
@@ -370,6 +379,24 @@ def test_simulate_rejects_negative_trials(pair15):
     code, dec1, dec2 = pair15
     with pytest.raises(RangeError):
         simulate(code, dec1, dec2, [0], -1)
+
+
+@pytest.mark.parametrize("weights, trials, seed", [
+    ([1, -1], 1, 0),
+    ([1, 31], 1, 0),    # beyond 2n = 30
+    ([1, "2"], 1, 0),
+    ([1.0], 1, 0),
+    ([1], 1.5, 0),
+    ([1], 1, -3),
+    ([1], 1, 2.0),
+], ids=["weight_negative", "weight_too_big", "weight_str", "weight_float",
+        "trials_float", "seed_negative", "seed_float"])
+def test_simulate_rejects_bad_inputs_before_any_trial(pair15, weights, trials, seed):
+    code, dec1, dec2 = pair15
+    log = hashlib.md5()
+    with pytest.raises(RangeError):
+        simulate(code, _Recording(dec1, log), _Recording(dec2, log), weights, trials, seed=seed)
+    assert log.hexdigest() == hashlib.md5().hexdigest()  # no word was decoded
 
 
 def test_simulate_beyond_radius_reports_only(pair15):
