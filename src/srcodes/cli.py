@@ -101,6 +101,14 @@ def _arg_int(text, flag):
         raise RangeError(f"{flag} expects a non-negative integer, got {text!r}") from None
 
 
+def _arg_d_sr(code, d_sr):
+    """--d-sr as sr_decode's d_sr: 0 means the default, code.d_sr_decodable."""
+    top = code.d_sr_decodable
+    if top is not None and not 0 <= d_sr <= top:
+        raise RangeError(f"--d-sr expects an integer in 0..{top}, where 0 means {top}; got {d_sr}")
+    return d_sr or None
+
+
 def _required(fields, key):
     if key not in fields:
         raise ConstructionError(f"missing {key!r} line")
@@ -298,7 +306,7 @@ def cmd_coset(args):
 
 def cmd_build_bch(args):
     if args.cosets is not None:
-        leaders = [int(t) for t in args.cosets.split(",")]
+        leaders = [_arg_int(t, "--cosets") for t in args.cosets.split(",")]
         code = bch_build(args.n, DefiningSet.from_cosets(args.n, leaders))
     elif args.delta is not None:
         code = bch_build(args.n, (args.b, args.delta))
@@ -399,9 +407,10 @@ def cmd_decode(args):
     c1 = read_code_file(args.c1)
     c2 = read_code_file(args.c2)
     code = sr_construct(c1, c2)
+    d_sr = _arg_d_sr(code, args.d_sr)
     received = read_word_file(args.word)
     res = sr_decode(code, make_decoder(c1, budget=args.budget),
-                    make_decoder(c2, budget=args.budget), received, args.d_sr or None)
+                    make_decoder(c2, budget=args.budget), received, d_sr)
     print(f"status {res.status}")
     branches = " ".join(f"{b}:{s}" for b, s in res.candidates_considered)
     print(f"branches {branches if branches else '-'}")
@@ -420,6 +429,7 @@ def cmd_simulate(args):
     c1 = read_code_file(args.c1)
     c2 = read_code_file(args.c2)
     code = sr_construct(c1, c2)
+    d_sr = _arg_d_sr(code, args.d_sr)
     weights = [_arg_int(t, "--weights") for t in args.weights.split(",")]
     if args.seed is not None:
         seed = _arg_int(args.seed, "--seed")
@@ -427,7 +437,7 @@ def cmd_simulate(args):
         seed = _arg_int(os.environ.get("SRCODES_SEED", "0"), "SRCODES_SEED")
     rows = simulate(code, make_decoder(c1, budget=args.budget),
                     make_decoder(c2, budget=args.budget), weights, args.trials, seed=seed,
-                    d_sr=args.d_sr or None, jobs=args.jobs)
+                    d_sr=d_sr, jobs=args.jobs)
     out = []
     for r in rows:
         us = "0.0" if args.no_timing else f"{r['mean_decode_micros']:.1f}"
@@ -512,7 +522,8 @@ def build_parser():
     sp.add_argument("--c1", required=True)
     sp.add_argument("--c2", required=True)
     sp.add_argument("--word", required=True)
-    sp.add_argument("--d-sr", type=int, default=0)
+    sp.add_argument("--d-sr", type=int, default=0,
+                    help="declared d_sr in 1..d_sr_decodable; 0 means d_sr_decodable")
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_decode)
@@ -523,7 +534,8 @@ def build_parser():
     sp.add_argument("--weights", required=True)
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--d-sr", type=int, default=0)
+    sp.add_argument("--d-sr", type=int, default=0,
+                    help="declared d_sr in 1..d_sr_decodable; 0 means d_sr_decodable")
     sp.add_argument("--jobs", type=int, default=1,
                     help="deprecated and ignored; trials run serially")
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)

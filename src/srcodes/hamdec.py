@@ -18,13 +18,16 @@ syndromes together with one syndrome per cyclotomic coset of the defining
 set, so a single pass over the word yields both the decoding syndromes and
 the membership check; a candidate is verified by adding the syndromes of
 its few error positions.  BCH locators of degree one and two are read off
-directly (degree two by solving y^2 + y = c over a GF(2)-basis); higher
-degrees use a Chien scan that stops after the last root.
+directly (degree two by solving y^2 + y = c over a GF(2)-basis).  Higher
+degrees evaluate sigma at each position in turn, in the log domain, and
+stop after the last root.
 
+Both root searches read one table built per decoder: row j holds
+j * log(p_i) for every position, so sigma_j p_i^j is a single exp lookup.
 The Goppa decoder runs on the same exp/log tables: extended Euclid on the
 syndrome polynomial keeps only the remainder and sigma's cofactor, and the
 roots of sigma among all locators come from one numpy gather and XOR-reduce
-in the log domain.
+over that table.
 """
 
 from typing import NamedTuple, Optional
@@ -59,20 +62,20 @@ def _fail(status=DECODE_FAILURE, tie=False):
 class _AlgebraicDecoder:
     """The part of alternant decoding that BCH and Goppa codes share.
 
-    A subclass passes the parity column of each position and the radius,
-    sets `_ptlog` and `_qlog`, and decodes a nonzero packed syndrome in
-    `_decode_syndrome`: the error value at position i is
-    e_i = omega(p_i) / (q_i * sigma'(p_i)), where _ptlog[i] = log p_i (-1
-    when p_i = 0) and _qlog[i] = log q_i.
+    A subclass passes the parity column of each position, the radius,
+    ptlog[i] = log p_i (-1 when p_i = 0) and qlog[i] = log q_i, and
+    decodes a nonzero packed syndrome in `_decode_syndrome`: the error
+    value at position i is e_i = omega(p_i) / (q_i * sigma'(p_i)).
     """
 
-    def __init__(self, code, field, img, columns, radius):
+    def __init__(self, code, field, img, columns, radius, ptlog, qlog):
         self.code = code
         self.field = field
         self.n = code.n
         self.radius = radius
         exp, log, om1 = field.exp, field.log, field.order - 1
         self._exp, self._log, self._om1 = exp, log, om1
+        self._ptlog, self._qlog = ptlog, qlog
         self._mask = (1 << field.m) - 1
         self._back = {v: s for s, v in enumerate(img)}
         self._zero = bytes(code.n)
@@ -99,25 +102,27 @@ class _AlgebraicDecoder:
         self._single = {per_sym[s]: (i, s) for i, per_sym in enumerate(contrib)
                         for s in range(1, len(img))} if radius >= 1 else {}
 
-    def _syndrome(self, word):
-        """(packed syndrome, word as bytes)."""
-        if len(word) != self.n:
-            raise ConfigError(f"received length {len(word)} != {self.n}")
-        if not isinstance(word, bytes):
-            word = vec_checked(word, self.code.base_field.order)
+        # root scan rows: powlog[j][i] = j log(p_i) mod (2^m - 1), less
+        # 2^m - 1, so adding log(sigma_j) gives an index in [-(2^m - 1),
+        # 2^m - 1) that wraps into the exp table.  The column of a p_i = 0
+        # is a placeholder: sigma(0) is sigma_0.
+        lp = [max(lg, 0) for lg in ptlog]
+        self._powlog = [[j * lg % om1 - om1 for lg in lp] for j in range(radius + 1)]
+
+    def decode(self, received):
+        """The codeword within the radius of `received`, or a typed failure."""
+        if len(received) != self.n:
+            raise ConfigError(f"received length {len(received)} != {self.n}")
+        if not isinstance(received, bytes):
+            received = vec_checked(received, self.code.base_field.order)
         acc = 0
         try:
-            for per_sym, sym in zip(self._contrib, word):
+            for per_sym, sym in zip(self._contrib, received):
                 if sym:
                     acc ^= per_sym[sym]
         except IndexError:
             raise RangeError("received symbol outside GF(%d)"
                              % self.code.base_field.order) from None
-        return acc, word
-
-    def decode(self, received):
-        """The codeword within the radius of `received`, or a typed failure."""
-        acc, received = self._syndrome(received)
         if not acc:
             return HammingDecodeResult(received, self._zero, SUCCESS)
         hit = self._single.get(acc)
@@ -195,18 +200,15 @@ class BchDecoder(_AlgebraicDecoder):
         cosets = {cyclotomic_coset(j, 4, n) for j in info.defining_set.exponents}
         powers = run + sorted(c[0] for c in cosets
                               if not any(e % n in c for e in run))
-        super().__init__(code, F, gf4_embedding(F),
-                         [[exp[logg * e * i % om1] for e in powers] for i in range(n)],
-                         self.nsyn // 2)
-        self._shifts = [j * F.m for j in range(self.nsyn)]
-        self._synmask = (1 << (self.nsyn * F.m)) - 1
-
         # locator X_i = alpha^i, evaluated at p_i = X_i^-1 with q_i = X_i^(b-1)
         logx = [(logg * i) % om1 for i in range(n)]
+        super().__init__(code, F, gf4_embedding(F),
+                         [[exp[logg * e * i % om1] for e in powers] for i in range(n)],
+                         self.nsyn // 2, [-lx % om1 for lx in logx],
+                         [(lx * (info.b - 1)) % om1 for lx in logx])
+        self._shifts = [j * F.m for j in range(self.nsyn)]
+        self._synmask = (1 << (self.nsyn * F.m)) - 1
         self._position = {exp[lx]: i for i, lx in enumerate(logx)}
-        self._ptlog = [-lx % om1 for lx in logx]
-        self._qlog = [(lx * (info.b - 1)) % om1 for lx in logx]
-        self._chien_logstep = [(-j * logg) % om1 for j in range(self.radius + 1)]
         self._deg2_roots = _deg2_basis(F)
 
     def _decode_syndrome(self, acc, received):
@@ -282,22 +284,7 @@ class BchDecoder(_AlgebraicDecoder):
             if None in positions:
                 return _fail()
         else:
-            # Chien scan, stopping once L roots are found
-            logstep = self._chien_logstep
-            positions = []
-            terms = sigma[:]
-            for i in range(self.n):
-                v = 0
-                for c in terms:
-                    v ^= c
-                if v == 0:
-                    positions.append(i)
-                    if len(positions) == L:
-                        break
-                for j in range(1, L + 1):
-                    c = terms[j]
-                    if c:
-                        terms[j] = exp[(log[c] + logstep[j]) % om1]
+            positions = self._roots(sigma)
             if len(positions) != L:
                 return _fail()
 
@@ -312,6 +299,27 @@ class BchDecoder(_AlgebraicDecoder):
                     if S[j]:
                         omega[i + j] ^= exp[(la + LS[j]) % om1]
         return self._finish(received, acc, positions, omega, sigma)
+
+    def _roots(self, sigma):
+        """Positions i with sigma(p_i) = 0, in increasing order, up to the
+        deg(sigma)-th root; sigma_0 = 1 and sigma_L != 0.
+
+        Each term sigma_j p_i^j is one exp lookup at log(sigma_j) +
+        powlog[j][i], over the nonzero sigma_j only.
+        """
+        exp, log, powlog = self._exp, self._log, self._powlog
+        L = len(sigma) - 1
+        terms = [(log[c], powlog[j]) for j, c in enumerate(sigma) if j and c]
+        positions = []
+        for i in range(self.n):
+            v = 1
+            for lc, row in terms:
+                v ^= exp[lc + row[i]]
+            if not v:
+                positions.append(i)
+                if len(positions) == L:
+                    break
+        return positions
 
 
 def _deg2_basis(F):
@@ -371,20 +379,10 @@ class GoppaDecoder(_AlgebraicDecoder):
                 q.append(c ^ F.mul(a, q[-1]))
             inv_ma = F.inv(q.pop())
             columns.append([F.mul(c, inv_ma) for c in reversed(q)])
-        super().__init__(code, F, (0, 1) if self.binary else gf4_embedding(F), columns,
-                         radius)
-
         # sigma's roots are the locators themselves, and q_i = 1
-        om1 = self._om1
-        self._ptlog = [F.log[a] for a in self.locators]  # -1 for the locator 0
-        self._qlog = [0] * self.n
-
-        # root scan tables: powlog[j, i] = j log(a_i) mod (2^m - 1), less
-        # 2^m - 1, so adding log(sigma_j) gives an index in [-(2^m - 1),
-        # 2^m - 1) that numpy wraps into the exp table.  The column of a
-        # locator 0 is a placeholder: sigma(0) is read off as sigma_0.
-        lga = np.array([max(la, 0) for la in self._ptlog], dtype=np.int64)
-        self._powlog = np.arange(self.radius + 1, dtype=np.int64)[:, None] * lga % om1 - om1
+        super().__init__(code, F, (0, 1) if self.binary else gf4_embedding(F), columns,
+                         radius, [F.log[a] for a in self.locators], [0] * code.n)
+        self._powlog = np.array(self._powlog, dtype=np.int64)
         self._exp_table = np.array(F.exp, dtype=np.uint32)
         self._zero_at = self.locators.index(0) if 0 in self.locators else None
 

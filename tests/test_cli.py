@@ -362,21 +362,31 @@ def test_cmd_decode_failure_exit_code(tmp_path):
     assert "status" in out
 
 
+PAIR = ("--c1", "{c1}", "--c2", "{c2}")
+
+
 @pytest.mark.parametrize("argv, env, flag", [
-    (("simulate", "--trials", "2", "--weights", "1,x"), None, "--weights"),
-    (("simulate", "--trials", "2", "--weights", "1,,2"), None, "--weights"),
-    (("simulate", "--trials", "2", "--weights", "-1"), None, "--weights"),
-    (("simulate", "--trials", "2", "--weights", "1", "--seed", "-3"), None, "--seed"),
-    (("simulate", "--trials", "2", "--weights", "1"), {"SRCODES_SEED": "abc"}, "SRCODES_SEED"),
-    (("encode", "--message", "0x1", "--out", "w.word"), None, "--message"),
+    (("simulate", *PAIR, "--trials", "2", "--weights", "1,x"), None, "--weights"),
+    (("simulate", *PAIR, "--trials", "2", "--weights", "1,,2"), None, "--weights"),
+    (("simulate", *PAIR, "--trials", "2", "--weights", "-1"), None, "--weights"),
+    (("simulate", *PAIR, "--trials", "2", "--weights", "1", "--seed", "-3"), None, "--seed"),
+    (("simulate", *PAIR, "--trials", "2", "--weights", "1"), {"SRCODES_SEED": "abc"},
+     "SRCODES_SEED"),
+    (("encode", *PAIR, "--message", "0x1", "--out", "w.word"), None, "--message"),
+    (("build-bch", "--n", "15", "--cosets", "1,x", "--out", "x.code"), None, "--cosets"),
+    (("simulate", *PAIR, "--trials", "2", "--weights", "1", "--d-sr", "-3"), None, "--d-sr"),
+    (("simulate", *PAIR, "--trials", "2", "--weights", "1", "--d-sr", "99"), None, "--d-sr"),
+    (("decode", *PAIR, "--word", "w.word", "--d-sr", "7"), None, "--d-sr"),
 ], ids=["weights_word", "weights_empty", "weights_negative", "seed_negative",
-        "env_seed", "message_hex"])
+        "env_seed", "message_hex", "cosets_word", "d_sr_negative", "d_sr_too_large",
+        "decode_d_sr_too_large"])
 def test_cmd_usage_errors_exit_2(tmp_path, argv, env, flag):
     c1 = tmp_path / "c1.code"
     c2 = tmp_path / "c2.code"
+    # d_sr_decodable = min(d1, 3 * d2 // 2) = min(6, 7) = 6
     write_code_file(bch_build(15, (1, 6)), c1)
     write_code_file(bch_build(15, (1, 4)), c2)
-    rc, out, err = run_cli(argv[0], "--c1", str(c1), "--c2", str(c2), *argv[1:], env=env)
+    rc, out, err = run_cli(*(a.format(c1=c1, c2=c2) for a in argv), env=env)
     assert rc == 2 and flag in err and "Traceback" not in err
     assert out == ""
 

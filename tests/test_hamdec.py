@@ -209,6 +209,50 @@ def test_goppa_root_scan_matches_brute_force(name, data):
     assert dec._roots(sigma) == brute
 
 
+def _bch_scan_cases():
+    codes = {
+        "15_delta8": bch_build(15, (1, 8)),                                 # radius 4
+        "63_delta16": bch_build(63, (1, 16)),                               # radius 10
+        "25_2_20": bch_build(25, DefiningSet.from_cosets(25, [0, 1, 2, 5])),  # GF(2^20)
+    }
+    cases = {}
+    for name, code in codes.items():
+        F = code.bch_info.field
+        # irreducible factors of degree 2 and 3 have no roots in the field;
+        # scaled to constant term 1, like sigma
+        rootless = [poly_mul(F, f, [F.inv(f[0])])
+                    for f in (find_irreducible(F, d, seed=s) for d in (2, 3) for s in (0, 1))]
+        cases[name] = (BchDecoder(code), rootless)
+    return cases
+
+
+BCH_SCAN_CASES = _bch_scan_cases()
+
+
+@pytest.mark.parametrize("name", sorted(BCH_SCAN_CASES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_bch_root_scan_matches_brute_force(name, data):
+    # sigma = prod (1 + X_i x) over a position subset of size 3..radius,
+    # sometimes times a factor with no roots or a repeated root;
+    # reference: poly_eval at every p_i = X_i^-1
+    dec, rootless = BCH_SCAN_CASES[name]
+    F = dec.field
+    n, t = dec.n, dec.radius
+    points = [F.exp[lp] for lp in dec._ptlog]
+    roots = data.draw(st.sets(st.integers(0, n - 1), min_size=3, max_size=t))
+    sigma = [1]
+    for i in roots:
+        sigma = poly_mul(F, sigma, [1, F.inv(points[i])])
+    repeated = [[1, F.inv(points[i])] for i in sorted(roots)]
+    extra = [f for f in rootless + repeated if len(sigma) + len(f) - 2 <= t]
+    if extra and data.draw(st.booleans()):
+        sigma = poly_mul(F, sigma, data.draw(st.sampled_from(extra)))
+    brute = [i for i, p in enumerate(points) if poly_eval(F, sigma, p) == 0]
+    assert brute == sorted(roots)
+    assert dec._roots(sigma) == brute
+
+
 @pytest.mark.parametrize("name", sorted(ROOT_SCAN_CASES))
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
@@ -402,7 +446,7 @@ def test_oracle_agrees_with_bch_inside_radius(bch15, bch15_dec):
 
 @pytest.mark.parametrize("n, spec", [
     (15, (1, 6)),                                    # locators of degree 1, 2
-    (15, (1, 8)),                                    # degree >= 3: Chien scan
+    (15, (1, 8)),                                    # degree >= 3: root scan
     (25, DefiningSet.from_cosets(25, [0, 1, 2, 5])),  # GF(2^20) locator field
 ], ids=["15_8_6", "15_delta8", "25_2_20"])
 def test_bch_agrees_with_oracle_at_all_weights(n, spec):
