@@ -1,12 +1,15 @@
 """Bounded-distance decoders in the Hamming metric.
 
 Quaternary BCH codes and binary and quaternary Goppa codes are alternant
-codes, and their decoders share one core: a packed syndrome, Forney values
-and a membership check.  Only the parity columns, the key-equation solver
-(Berlekamp-Massey for BCH, extended Euclid for Goppa) and the root search
-differ.  An exhaustive nearest-codeword oracle decodes every other code.
-Every successful decode is re-verified against the code before it is
-returned, so a wrong codeword is never handed to the caller.
+codes: the parity entry of position i in row j is y_i X_i^j, for a locator
+X_i and a multiplier y_i.  Their decoders share one core: a packed
+syndrome, Berlekamp-Massey, locator polynomials of degree one and two
+solved directly (degree two by solving y^2 + y = c over a GF(2)-basis),
+Forney values and a membership check.  Only the parity columns and the
+root search for higher degrees differ.  An exhaustive nearest-codeword
+oracle decodes every other code.  Every successful decode is re-verified
+against the code before it is returned, so a wrong codeword is never
+handed to the caller.
 
 Syndrome evaluation packs all syndrome coordinates of one received symbol
 into a single integer (field addition is XOR, so whole syndrome vectors
@@ -17,17 +20,17 @@ single-symbol error back to that error.  The BCH decoder packs the designed
 syndromes together with one syndrome per cyclotomic coset of the defining
 set, so a single pass over the word yields both the decoding syndromes and
 the membership check; a candidate is verified by adding the syndromes of
-its few error positions.  BCH locators of degree one and two are read off
-directly (degree two by solving y^2 + y = c over a GF(2)-basis).  Higher
-degrees evaluate sigma at each position in turn, in the log domain, and
-stop after the last root.
+its few error positions.
 
-Both root searches read one table built per decoder: row j holds
-j * log(p_i) for every position, so sigma_j p_i^j is a single exp lookup.
-The Goppa decoder runs on the same exp/log tables: extended Euclid on the
-syndrome polynomial keeps only the remainder and sigma's cofactor, and the
-roots of sigma among all locators come from one numpy gather and XOR-reduce
-over that table.
+Both root searches for degree three and more read one table built per
+decoder: row j holds j * log(p_i) for every position, with p_i = X_i^-1,
+so sigma_j p_i^j is a single exp lookup.  BCH evaluates sigma at each
+position in turn, in the log domain, and stops after the last root; Goppa
+takes all its locators in one numpy gather and XOR-reduce over that table.
+A Goppa code may have the locator 0, whose column reaches the first
+syndrome only: an error there lengthens the Berlekamp-Massey register by
+one without a factor of sigma, and its value is what is left of the
+syndrome once the other errors are taken out.
 """
 
 from typing import NamedTuple, Optional
@@ -36,7 +39,7 @@ import numpy as np
 
 from .errors import BudgetError, ConfigError, RangeError
 from .gf2m import (gf2_insert, gf2_reduce, gf4_embedding, poly_deg, poly_derivative,
-                   poly_gcd, poly_mul, poly_trim, vec_checked)
+                   poly_eval, poly_gcd, poly_mul, vec_checked)
 from .codes import DEFAULT_BUDGET, cyclotomic_coset, nearest_codeword
 
 SUCCESS = "success"
@@ -60,24 +63,31 @@ def _fail(status=DECODE_FAILURE, tie=False):
 
 
 class _AlgebraicDecoder:
-    """The part of alternant decoding that BCH and Goppa codes share.
+    """The decoder that BCH and Goppa codes share as alternant codes.
 
-    A subclass passes the parity column of each position, the radius,
-    ptlog[i] = log p_i (-1 when p_i = 0) and qlog[i] = log q_i, and
-    decodes a nonzero packed syndrome in `_decode_syndrome`: the error
-    value at position i is e_i = omega(p_i) / (q_i * sigma'(p_i)).
+    A subclass passes the parity column of each position, whose first
+    `nsyn` entries give the syndromes S_j = sum_i e_i y_i X_i^j of the key
+    equation; ptlog[i] = log p_i for p_i = X_i^-1 (-1 for the locator
+    X_i = 0); and qlog[i] = log q_i for q_i = y_i / X_i.  The radius is
+    floor(nsyn / 2), the error value at position i is
+    e_i = omega(p_i) / (q_i * sigma'(p_i)), and the subclass finds the
+    roots of a sigma of degree three or more in `_roots`.
     """
 
-    def __init__(self, code, field, img, columns, radius, ptlog, qlog):
+    def __init__(self, code, field, img, columns, nsyn, ptlog, qlog):
         self.code = code
         self.field = field
         self.n = code.n
-        self.radius = radius
+        self.nsyn = nsyn
+        self.radius = radius = nsyn // 2
         exp, log, om1 = field.exp, field.log, field.order - 1
         self._exp, self._log, self._om1 = exp, log, om1
         self._ptlog, self._qlog = ptlog, qlog
         self._mask = (1 << field.m) - 1
+        self._shifts = [j * field.m for j in range(nsyn)]
+        self._synmask = (1 << (nsyn * field.m)) - 1
         self._back = {v: s for s, v in enumerate(img)}
+        self._binary = len(img) == 2  # every binary error value is 1
         self._zero = bytes(code.n)
 
         # per position and symbol, the packed coefficients of sym * column,
@@ -102,10 +112,16 @@ class _AlgebraicDecoder:
         self._single = {per_sym[s]: (i, s) for i, per_sym in enumerate(contrib)
                         for s in range(1, len(img))} if radius >= 1 else {}
 
+        # the position of each nonzero locator X_i, for sigma of degree one
+        # and two.  The locator 0 adds to S_0 only, so it is never a root.
+        self._position = {exp[-lp % om1]: i for i, lp in enumerate(ptlog) if lp >= 0}
+        self._zero_at = ptlog.index(-1) if -1 in ptlog else None
+        self._deg2_roots = _deg2_basis(field)
+
         # root scan rows: powlog[j][i] = j log(p_i) mod (2^m - 1), less
         # 2^m - 1, so adding log(sigma_j) gives an index in [-(2^m - 1),
-        # 2^m - 1) that wraps into the exp table.  The column of a p_i = 0
-        # is a placeholder: sigma(0) is sigma_0.
+        # 2^m - 1) that wraps into the exp table.  The column of the
+        # locator 0 is a placeholder.
         lp = [max(lg, 0) for lg in ptlog]
         self._powlog = [[j * lg % om1 - om1 for lg in lp] for j in range(radius + 1)]
 
@@ -134,14 +150,15 @@ class _AlgebraicDecoder:
         return HammingDecodeResult((int.from_bytes(received, "big") ^ err).to_bytes(n, "big"),
                                    err.to_bytes(n, "big"), SUCCESS)
 
-    def _finish(self, received, acc, positions, omega, sigma):
-        """The candidate for errors at `positions`, or a failure.
+    def _finish(self, received, acc, positions, omega, sigma, zero):
+        """The candidate for errors at `positions`, and at the locator 0
+        when `zero` is set, or a failure.
 
         Forney values use Horner's rule on the exp/log tables, with
-        sigma'(x) = P(x^2) for P built from sigma's odd coefficients; at
-        p_i = 0, sigma'(0) = sigma_1 and omega(0) = omega_0.  omega None
-        means every error value is 1.  `acc` is the packed syndrome of the
-        received word; adding those of the errors gives the candidate's.
+        sigma'(x) = P(x^2) for P built from sigma's odd coefficients.
+        omega None means every error value is 1.  `acc` is the packed
+        syndrome of the received word; adding those of the errors gives the
+        candidate's.
         """
         exp, log, om1 = self._exp, self._log, self._om1
         odd = sigma[1::2]
@@ -154,16 +171,13 @@ class _AlgebraicDecoder:
                 val = 1
             else:
                 lp = ptlog[i]
-                if lp < 0:
-                    num, den = (omega[0] if omega else 0), sigma[1]
-                else:
-                    num = 0
-                    for c in reversed(omega):
-                        num = (exp[(log[num] + lp) % om1] if num else 0) ^ c
-                    lz = 2 * lp
-                    den = 0
-                    for c in odd:
-                        den = (exp[(log[den] + lz) % om1] if den else 0) ^ c
+                num = 0
+                for c in reversed(omega):
+                    num = (exp[(log[num] + lp) % om1] if num else 0) ^ c
+                lz = 2 * lp
+                den = 0
+                for c in odd:
+                    den = (exp[(log[den] + lz) % om1] if den else 0) ^ c
                 if den == 0 or num == 0:
                     return _fail()
                 val = back.get(exp[(log[num] - log[den] - qlog[i]) % om1])
@@ -172,44 +186,18 @@ class _AlgebraicDecoder:
             err[i] = val
             cand[i] ^= val
             acc ^= contrib[i][val]
+        if zero:
+            # the locator 0 reaches S_0 only: its error value is the symbol
+            # whose contribution is what is left of the syndrome
+            per_sym = contrib[self._zero_at]
+            if acc in per_sym:
+                val = per_sym.index(acc)
+                err[self._zero_at] = val
+                cand[self._zero_at] ^= val
+                acc = 0
         if acc:
             return _fail(GUARD_TRIPPED)
         return HammingDecodeResult(bytes(cand), bytes(err), SUCCESS)
-
-
-class BchDecoder(_AlgebraicDecoder):
-    """Decodes up to floor((delta-1)/2) errors of a quaternary BCH code."""
-
-    method = "bch"
-
-    def __init__(self, code):
-        if code.bch_info is None:
-            raise ConfigError("code was not built as a BCH code")
-        info = code.bch_info
-        F = info.field
-        n = code.n
-        exp, log, om1 = F.exp, F.log, F.order - 1
-        logg = log[info.alpha]
-        self.nsyn = info.delta - 1
-
-        # the designed run in the low nsyn*m bits, then one syndrome for
-        # each coset of the defining set that the run misses.  S_{4j} is the
-        # fourth power of S_j, so the packed syndromes all vanish exactly on
-        # codewords.
-        run = [info.b + j for j in range(self.nsyn)]
-        cosets = {cyclotomic_coset(j, 4, n) for j in info.defining_set.exponents}
-        powers = run + sorted(c[0] for c in cosets
-                              if not any(e % n in c for e in run))
-        # locator X_i = alpha^i, evaluated at p_i = X_i^-1 with q_i = X_i^(b-1)
-        logx = [(logg * i) % om1 for i in range(n)]
-        super().__init__(code, F, gf4_embedding(F),
-                         [[exp[logg * e * i % om1] for e in powers] for i in range(n)],
-                         self.nsyn // 2, [-lx % om1 for lx in logx],
-                         [(lx * (info.b - 1)) % om1 for lx in logx])
-        self._shifts = [j * F.m for j in range(self.nsyn)]
-        self._synmask = (1 << (self.nsyn * F.m)) - 1
-        self._position = {exp[lx]: i for i, lx in enumerate(logx)}
-        self._deg2_roots = _deg2_basis(F)
 
     def _decode_syndrome(self, acc, received):
         syn = acc & self._synmask
@@ -255,10 +243,13 @@ class BchDecoder(_AlgebraicDecoder):
         while not sigma[L]:
             L -= 1
         del sigma[L + 1:]
-        if L < 1 or L > self.radius:
+        # an error at the locator 0 lengthens the register by one without a
+        # factor of sigma
+        zero = lfsr == L + 1 and self._zero_at is not None
+        if not 0 < L + zero <= self.radius:
             return _fail()
 
-        # the locators alpha^i are the roots of x^L sigma(1/x); a degree-L
+        # the locators X_i are the roots of x^L sigma(1/x); a degree-L
         # polynomial has at most L roots
         position = self._position
         if L == 1:
@@ -291,14 +282,47 @@ class BchDecoder(_AlgebraicDecoder):
         # omega = sigma * S mod x^nsyn; sigma generates S_0..S_{nsyn-1} as a
         # shift register of length lfsr, so only the terms below x^lfsr can
         # be nonzero
-        omega = [0] * lfsr
-        for i, a in enumerate(sigma):
-            if a:
-                la = log[a]
-                for j in range(lfsr - i):
-                    if S[j]:
-                        omega[i + j] ^= exp[(la + LS[j]) % om1]
-        return self._finish(received, acc, positions, omega, sigma)
+        omega = None
+        if not self._binary:
+            omega = [0] * lfsr
+            for i, a in enumerate(sigma):
+                if a:
+                    la = log[a]
+                    for j in range(lfsr - i):
+                        if S[j]:
+                            omega[i + j] ^= exp[(la + LS[j]) % om1]
+        return self._finish(received, acc, positions, omega, sigma, zero)
+
+
+class BchDecoder(_AlgebraicDecoder):
+    """Decodes up to floor((delta-1)/2) errors of a quaternary BCH code."""
+
+    method = "bch"
+
+    def __init__(self, code):
+        if code.bch_info is None:
+            raise ConfigError("code was not built as a BCH code")
+        info = code.bch_info
+        F = info.field
+        n = code.n
+        exp, om1 = F.exp, F.order - 1
+        logg = F.log[info.alpha]
+        nsyn = info.delta - 1
+
+        # the designed run in the low nsyn*m bits, then one syndrome for
+        # each coset of the defining set that the run misses.  S_{4j} is the
+        # fourth power of S_j, so the packed syndromes all vanish exactly on
+        # codewords.
+        run = [info.b + j for j in range(nsyn)]
+        cosets = {cyclotomic_coset(j, 4, n) for j in info.defining_set.exponents}
+        powers = run + sorted(c[0] for c in cosets
+                              if not any(e % n in c for e in run))
+        # locator X_i = alpha^i, evaluated at p_i = X_i^-1 with q_i = X_i^(b-1)
+        logx = [(logg * i) % om1 for i in range(n)]
+        super().__init__(code, F, gf4_embedding(F),
+                         [[exp[logg * e * i % om1] for e in powers] for i in range(n)],
+                         nsyn, [-lx % om1 for lx in logx],
+                         [(lx * (info.b - 1)) % om1 for lx in logx])
 
     def _roots(self, sigma):
         """Positions i with sigma(p_i) = 0, in increasing order, up to the
@@ -344,11 +368,13 @@ def _deg2_basis(F):
 
 
 class GoppaDecoder(_AlgebraicDecoder):
-    """Key-equation decoder for Goppa codes.
+    """Berlekamp-Massey decoder for Goppa codes, read as alternant codes.
 
-    Binary codes with a squarefree polynomial are decoded through the
-    squared modulus, reaching radius deg(G); otherwise the radius is
-    floor(deg(G) / 2).
+    A word c is in the code when sum_i c_i / (z - a_i) = 0 mod M(z), that
+    is, when sum_i c_i y_i a_i^j = 0 for j < deg(M), with y_i = 1 / M(a_i)
+    (MacWilliams-Sloane, ch. 12): the locators X_i are the a_i.  Binary
+    codes with a squarefree polynomial G take M = G^2 and reach radius
+    deg(G); otherwise M = G and the radius is floor(deg(G) / 2).
     """
 
     method = "goppa"
@@ -358,90 +384,41 @@ class GoppaDecoder(_AlgebraicDecoder):
             raise ConfigError("code was not built as a Goppa code")
         info = code.goppa_info
         F = info.field
-        G = list(info.gpoly)
-        r = poly_deg(G)
-        self.binary = info.base_order == 2
-        squarefree = poly_deg(poly_gcd(F, G, poly_derivative(G))) == 0
-        if self.binary and squarefree:
-            M, radius = poly_mul(F, G, G), r
-        else:
-            M, radius = G, r // 2
-        self._modulus, self._dM = M, poly_deg(M)
-        self._stop = self._dM - radius
+        exp, log, om1 = F.exp, F.log, F.order - 1
+        M = list(info.gpoly)
+        binary = info.base_order == 2
+        if binary and poly_deg(poly_gcd(F, M, poly_derivative(M))) == 0:
+            M = poly_mul(F, M, M)
+        nsyn = poly_deg(M)
         self.locators = info.locators
 
-        # (z - a)^{-1} mod M = Q_a(z) / M(a): Horner's rule for M(a) passes
-        # through the coefficients of Q_a = (M(z) - M(a)) / (z - a), top first
-        columns = []
+        columns, ptlog, qlog = [], [], []
         for a in self.locators:
-            q = [M[-1]]
-            for c in M[-2::-1]:
-                q.append(c ^ F.mul(a, q[-1]))
-            inv_ma = F.inv(q.pop())
-            columns.append([F.mul(c, inv_ma) for c in reversed(q)])
-        # sigma's roots are the locators themselves, and q_i = 1
-        super().__init__(code, F, (0, 1) if self.binary else gf4_embedding(F), columns,
-                         radius, [F.log[a] for a in self.locators], [0] * code.n)
+            ly = -log[poly_eval(F, M, a)] % om1
+            if a:
+                la = log[a]
+                columns.append([exp[(ly + j * la) % om1] for j in range(nsyn)])
+                ptlog.append(-la % om1)
+                qlog.append((ly - la) % om1)
+            else:
+                columns.append([exp[ly]] + [0] * (nsyn - 1))
+                ptlog.append(-1)
+                qlog.append(0)
+        super().__init__(code, F, (0, 1) if binary else gf4_embedding(F), columns,
+                         nsyn, ptlog, qlog)
         self._powlog = np.array(self._powlog, dtype=np.int64)
         self._exp_table = np.array(F.exp, dtype=np.uint32)
-        self._zero_at = self.locators.index(0) if 0 in self.locators else None
-
-    def _key_equation(self, S):
-        """(omega, sigma) from extended Euclid on (modulus, S), stopped at the
-        first remainder of degree below deg(modulus) - radius.
-
-        Each quotient term is applied to the remainder and to sigma's
-        cofactor as soon as it is found, so neither the quotient nor the
-        modulus's cofactor is kept; the results equal gf2m.poly_eea's.
-        """
-        exp, log, om1 = self._exp, self._log, self._om1
-        r0, r1 = list(self._modulus), S
-        v0, v1 = [], [1]
-        while len(r1) > self._stop:
-            d1 = len(r1) - 1
-            lead = log[r1[-1]]
-            # logs less om1, so that lc + lg lies in [-om1, om1)
-            rlog = [(j, log[c] - om1) for j, c in enumerate(r1) if c]
-            vlog = [(j, log[c] - om1) for j, c in enumerate(v1) if c]
-            v0 += [0] * (len(r0) - len(r1) + len(v1) - len(v0))
-            for top in range(len(r0) - 1, d1 - 1, -1):
-                c = r0[top]
-                if c:
-                    lc = (log[c] - lead) % om1
-                    s = top - d1
-                    for j, lg in rlog:
-                        r0[s + j] ^= exp[lc + lg]
-                    for j, lg in vlog:
-                        v0[s + j] ^= exp[lc + lg]
-            del r0[d1:]
-            r0, r1 = r1, poly_trim(r0)
-            v0, v1 = v1, v0
-        return r1, v1
 
     def _roots(self, sigma):
-        """Positions i with sigma(a_i) = 0, for deg(sigma) <= radius."""
+        """Positions i with sigma(p_i) = 0, for deg(sigma) <= radius; the
+        locator 0 has no p_i and is never a root."""
         log = self._log
         nz = [j for j, c in enumerate(sigma) if c]
         ls = np.array([log[sigma[j]] for j in nz], dtype=np.int64)
         v = np.bitwise_xor.reduce(self._exp_table[self._powlog[nz] + ls[:, None]], axis=0)
         if self._zero_at is not None:
-            v[self._zero_at] = sigma[0]
+            v[self._zero_at] = 1
         return np.flatnonzero(v == 0).tolist()
-
-    def _decode_syndrome(self, acc, received):
-        m, mask = self.field.m, self._mask
-        S = poly_trim([(acc >> (j * m)) & mask for j in range(self._dM)])
-
-        omega, sigma = self._key_equation(S)
-        L = poly_deg(sigma)
-        if L < 1 or L > self.radius:
-            return _fail()
-
-        positions = self._roots(sigma)
-        if len(positions) != L:
-            return _fail()
-        # binary error values are all 1
-        return self._finish(received, acc, positions, None if self.binary else omega, sigma)
 
 
 class OracleDecoder:

@@ -270,41 +270,44 @@ def test_criterion_08_cost_contract_and_quadratic_scaling():
                    for r in rows)
 
     # decode wall time against c * l^2 across a fixed-rate family; best-of
-    # timing with the collector paused keeps scheduling noise out
+    # timing with the collector paused keeps scheduling noise out, and each
+    # pass times the three lengths back to back, so that a slow spell of
+    # the machine cannot fall on one length alone
     import gc
 
-    def best_time(n, delta, reps):
+    def cases(n, delta, reps):
         code = bch_build(n, (1, delta))
         dec = BchDecoder(code)
         t = dec.radius
         rng = np.random.default_rng(n)
-        cases = []
+        words = []
         for _ in range(reps):
             msg = [int(x) for x in rng.integers(0, 4, size=code.k)]
             cw = code.encode(msg)
             e = bytearray(n)
             for p in rng.choice(n, size=t, replace=False):
                 e[p] = int(rng.integers(1, 4))
-            cases.append(bytes(a ^ b for a, b in zip(cw, e)))
-        for rec in cases:
+            words.append(bytes(a ^ b for a, b in zip(cw, e)))
+        for rec in words:
             assert dec.decode(rec).ok
-        best = None
-        gc.collect()
-        gc.disable()
-        try:
-            for _ in range(9):
-                start = time.perf_counter()
-                for rec in cases:
-                    dec.decode(rec)
-                dt = (time.perf_counter() - start) / reps
-                best = dt if best is None else min(best, dt)
-        finally:
-            gc.enable()
-        return best
+        return n, dec, words
 
-    consts = []
-    for n, delta, reps in ((15, 8, 60), (63, 32, 30), (255, 128, 12)):
-        consts.append(best_time(n, delta, reps) / n ** 2)
+    family = [cases(n, delta, reps) for n, delta, reps in ((15, 8, 60), (63, 32, 30),
+                                                           (255, 128, 12))]
+    best = [None] * len(family)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(9):
+            for k, (n, dec, words) in enumerate(family):
+                start = time.perf_counter()
+                for rec in words:
+                    dec.decode(rec)
+                dt = (time.perf_counter() - start) / len(words)
+                best[k] = dt if best[k] is None else min(best[k], dt)
+    finally:
+        gc.enable()
+    consts = [b / n ** 2 for b, (n, _, _) in zip(best, family)]
     spread = max(consts) / min(consts)
     ok = calls_ok and spread <= 3.0
     _report(8, ok, f"1 + <=3 component decodes per call; "

@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from srcodes.errors import BudgetError, ConfigError, RangeError
-from srcodes.gf2m import GF2, GF4, build_field, poly_eea, poly_eval, poly_mul
+from srcodes.gf2m import GF2, GF4, build_field, poly_eval, poly_mul
 from srcodes.codes import (
     DefiningSet,
     LinearCode,
@@ -192,20 +193,21 @@ ROOT_SCAN_CASES = _root_scan_cases()
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_goppa_root_scan_matches_brute_force(name, data):
-    # sigma = c * prod (x - a) over a locator subset, sometimes times a
-    # factor with no roots; reference: poly_eval at every locator
+    # sigma = c * prod (1 + a x) over a locator subset, sometimes times a
+    # factor with no roots; reference: poly_eval at every p_i = a_i^-1.
+    # The locator 0 contributes the factor 1 and is never a root.
     dec, rootless = ROOT_SCAN_CASES[name]
     F = dec.field
     n, t = dec.n, dec.radius
     roots = data.draw(st.sets(st.integers(0, n - 1), max_size=t))
     sigma = [data.draw(st.integers(1, F.order - 1))]
     for i in roots:
-        sigma = poly_mul(F, sigma, [dec.locators[i], 1])
+        sigma = poly_mul(F, sigma, [1, dec.locators[i]])
     extra = [f for f in rootless if len(sigma) + len(f) - 2 <= t]
     if extra and data.draw(st.booleans()):
         sigma = poly_mul(F, sigma, data.draw(st.sampled_from(extra)))
-    brute = [i for i, a in enumerate(dec.locators) if poly_eval(F, sigma, a) == 0]
-    assert brute == sorted(roots)
+    brute = [i for i, a in enumerate(dec.locators) if a and poly_eval(F, sigma, F.inv(a)) == 0]
+    assert brute == sorted(i for i in roots if dec.locators[i])
     assert dec._roots(sigma) == brute
 
 
@@ -253,19 +255,46 @@ def test_bch_root_scan_matches_brute_force(name, data):
     assert dec._roots(sigma) == brute
 
 
-@pytest.mark.parametrize("name", sorted(ROOT_SCAN_CASES))
-@settings(max_examples=150, deadline=None)
+def _key_equation_probe(dec):
+    # a copy of the decoder whose _finish hands back what the key equation
+    # and the root search found, in place of a candidate
+    probe = copy.copy(dec)
+    probe._finish = lambda received, acc, positions, omega, sigma, zero: (
+        sorted(positions), sigma, zero)
+    return probe
+
+
+KEY_EQUATION_PROBES = {name: _key_equation_probe(dec)
+                       for cases in (ROOT_SCAN_CASES, BCH_SCAN_CASES)
+                       for name, (dec, _) in cases.items()}
+
+
+@pytest.mark.parametrize("name", sorted(KEY_EQUATION_PROBES))
+@settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_goppa_key_equation_matches_poly_eea(name, data):
-    # reference: gf2m.poly_eea, which also keeps the quotient and the
-    # modulus's cofactor
-    dec, _ = ROOT_SCAN_CASES[name]
+def test_berlekamp_massey_finds_the_locator_polynomial(name, data):
+    # power-sum syndromes S_j = sum_k Y_k X_k^j of 1..radius errors with
+    # random nonzero Y_k: the shortest register is sigma = prod (1 + X_k x),
+    # of length the error count.  The locator 0 adds Y_k to S_0 only, so it
+    # counts in the length but is no factor of sigma (binary64 has it).
+    dec = KEY_EQUATION_PROBES[name]
     F = dec.field
-    # a syndrome polynomial of degree below deg(modulus)
-    S = (data.draw(st.lists(st.integers(0, F.order - 1), max_size=dec._dM - 1))
-         + [data.draw(st.integers(1, F.order - 1))])
-    omega, _, sigma = poly_eea(F, dec._modulus, S, dec._stop)
-    assert dec._key_equation(list(S)) == (omega, sigma)
+    locators = [0 if lp < 0 else F.inv(F.exp[lp]) for lp in dec._ptlog]
+    errors = data.draw(st.sets(st.integers(0, dec.n - 1), min_size=1, max_size=dec.radius))
+    if dec._zero_at is not None and len(errors) < dec.radius and data.draw(st.booleans()):
+        errors.add(dec._zero_at)
+    S = [0] * dec.nsyn
+    sigma = [1]
+    for i in errors:
+        X, Y = locators[i], data.draw(st.integers(1, F.order - 1))
+        for j in range(dec.nsyn):
+            S[j] ^= F.mul(Y, F.pow(X, j))
+        sigma = poly_mul(F, sigma, [1, X])
+    acc = sum(s << j * F.m for j, s in enumerate(S))
+    zero = dec._zero_at in errors
+    # deg(sigma) + zero is the register length
+    assert dec._decode_syndrome(acc, bytes(dec.n)) == (
+        sorted(errors - {dec._zero_at}), sigma, zero)
 
 
 def test_decoders_reject_symbols_outside_the_alphabet(bch15, bch15_dec):
@@ -400,6 +429,24 @@ def test_single_error_lookup_matches_algebraic_path(name, data):
     vals = data.draw(st.lists(st.integers(1, q - 1), min_size=len(pos), max_size=len(pos)))
     rec, _ = _add_error(code.encode(msg), pos, vals)
     assert dec.decode(rec) == bare.decode(rec)
+
+
+@pytest.mark.parametrize("name", ["goppa_binary32", "goppa_quaternary12"])
+def test_goppa_errors_at_the_locator_0_decode(name):
+    # the locator 0 reaches S_0 only, so its error value is read off what is
+    # left of the syndrome: every pattern of weight <= radius that includes
+    # it decodes to the sent word, with and without the single-error table
+    dec, bare = LOOKUP_CASES[name]
+    code = dec.code
+    q = code.base_field.order
+    z = dec.locators.index(0)
+    others = [i for i in range(code.n) if i != z]
+    cw = code.encode([(3 * j + 1) % q for j in range(code.k)])
+    for w in range(dec.radius):
+        for pos in itertools.combinations(others, w):
+            for vals in itertools.product(range(1, q), repeat=w + 1):
+                rec, e = _add_error(cw, (z,) + pos, vals)
+                assert dec.decode(rec) == bare.decode(rec) == (cw, e, "success", False)
 
 
 def test_bch_block25_decoding_offset_run():
