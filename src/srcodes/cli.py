@@ -101,6 +101,15 @@ def _arg_int(text, flag):
         raise RangeError(f"{flag} expects a non-negative integer, got {text!r}") from None
 
 
+def _count(text):
+    """argparse type of --trials and --budget: a non-negative integer."""
+    try:
+        return _int(text)
+    except ConstructionError:
+        raise argparse.ArgumentTypeError(
+            f"expects a non-negative integer, got {text!r}") from None
+
+
 def _arg_d_sr(code, d_sr):
     """--d-sr as sr_decode's d_sr: 0 means the default, code.d_sr_decodable."""
     top = code.d_sr_decodable
@@ -442,9 +451,9 @@ def cmd_simulate(args):
     for r in rows:
         us = "0.0" if args.no_timing else f"{r['mean_decode_micros']:.1f}"
         out.append((r["weight"], r["trials"], r["success"], r["failure"],
-                    r["ambiguous"], us))
+                    r["ambiguous"], r["miscorrections"], us))
     _emit(out, ("weight", "trials", "success", "failure", "ambiguous",
-                "mean_decode_micros"), args.pretty)
+                "miscorrections", "mean_decode_micros"), args.pretty)
     return 0
 
 
@@ -524,7 +533,7 @@ def build_parser():
     sp.add_argument("--word", required=True)
     sp.add_argument("--d-sr", type=int, default=0,
                     help="declared d_sr in 1..d_sr_decodable; 0 means d_sr_decodable")
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sp.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_decode)
 
@@ -532,13 +541,13 @@ def build_parser():
     sp.add_argument("--c1", required=True)
     sp.add_argument("--c2", required=True)
     sp.add_argument("--weights", required=True)
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--trials", type=_count, default=100)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--d-sr", type=int, default=0,
                     help="declared d_sr in 1..d_sr_decodable; 0 means d_sr_decodable")
     sp.add_argument("--jobs", type=int, default=1,
                     help="deprecated and ignored; trials run serially")
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sp.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
     sp.add_argument("--no-timing", action="store_true",
                     help="zero the timing column for byte-reproducible output")
     sp.add_argument("--pretty", action="store_true")
@@ -548,7 +557,7 @@ def build_parser():
     sp.add_argument("--code", help="single code file (Hamming metric)")
     sp.add_argument("--c1", help="pair mode: x^2 component")
     sp.add_argument("--c2", help="pair mode: x component")
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sp.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
     sp.set_defaults(func=cmd_mindist)
 
     return p

@@ -341,10 +341,11 @@ def test_cmd_encode_decode_simulate(tmp_path):
                          "--seed", "9", "--no-timing")
     assert rc == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "weight,trials,success,failure,ambiguous,mean_decode_micros"
+    assert lines[0] == ("weight,trials,success,failure,ambiguous,miscorrections,"
+                        "mean_decode_micros")
     for line in lines[1:]:
         parts = line.split(",")
-        assert parts[2] == "25" and parts[3] == "0"
+        assert parts[2] == "25" and parts[3:6] == ["0", "0", "0"]
 
 
 def test_cmd_decode_failure_exit_code(tmp_path):
@@ -377,9 +378,14 @@ PAIR = ("--c1", "{c1}", "--c2", "{c2}")
     (("simulate", *PAIR, "--trials", "2", "--weights", "1", "--d-sr", "-3"), None, "--d-sr"),
     (("simulate", *PAIR, "--trials", "2", "--weights", "1", "--d-sr", "99"), None, "--d-sr"),
     (("decode", *PAIR, "--word", "w.word", "--d-sr", "7"), None, "--d-sr"),
+    (("simulate", *PAIR, "--trials", "-1", "--weights", "1"), None, "--trials"),
+    (("simulate", *PAIR, "--trials", "2", "--weights", "1", "--budget", "-5"), None, "--budget"),
+    (("decode", *PAIR, "--word", "w.word", "--budget", "-5"), None, "--budget"),
+    (("mindist", "--code", "{c1}", "--budget", "-5"), None, "--budget"),
 ], ids=["weights_word", "weights_empty", "weights_negative", "seed_negative",
         "env_seed", "message_hex", "cosets_word", "d_sr_negative", "d_sr_too_large",
-        "decode_d_sr_too_large"])
+        "decode_d_sr_too_large", "trials_negative", "simulate_budget_negative",
+        "decode_budget_negative", "mindist_budget_negative"])
 def test_cmd_usage_errors_exit_2(tmp_path, argv, env, flag):
     c1 = tmp_path / "c1.code"
     c2 = tmp_path / "c2.code"

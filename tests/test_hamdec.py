@@ -215,6 +215,7 @@ def _bch_scan_cases():
     codes = {
         "15_delta8": bch_build(15, (1, 8)),                                 # radius 4
         "63_delta16": bch_build(63, (1, 16)),                               # radius 10
+        "255_delta32": bch_build(255, (1, 32)),                             # radius 16
         "25_2_20": bch_build(25, DefiningSet.from_cosets(25, [0, 1, 2, 5])),  # GF(2^20)
     }
     cases = {}
