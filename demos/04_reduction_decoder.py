@@ -72,4 +72,4 @@ res = sr_decode(big, D1, D2, received)
 print("reduction decoder:", res.status, "on branch", res.succeeded_branch,
       "-> exact recovery:", res.codeword == sent and res.error == err)
 print("branch log:", res.candidates_considered)
-print("cost: ", res.dec1_calls, "x^2-slot decode +", res.dec2_calls, "twisted decodes")
+print("cost: ", res.dec1_calls, "x^2-slot decode,", res.dec2_calls, "of 3 beta-branches")

@@ -102,7 +102,8 @@ def _arg_int(text, flag):
 
 
 def _count(text):
-    """argparse type of --trials and --budget: a non-negative integer."""
+    """argparse type of a count such as --trials, --budget or --length: a
+    non-negative integer."""
     try:
         return _int(text)
     except ConstructionError:
@@ -488,7 +489,7 @@ def build_parser():
     sp.set_defaults(func=cmd_coset)
 
     sp = sub.add_parser("build-bch", help="build a quaternary BCH code file")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_count, required=True)
     sp.add_argument("--cosets", help="comma separated coset leaders")
     sp.add_argument("--b", type=int, default=1, help="run start for --delta form")
     sp.add_argument("--delta", type=int, help="designed distance")
@@ -499,8 +500,8 @@ def build_parser():
     sp.add_argument("--base", choices=("gf2", "gf4"), default="gf2")
     sp.add_argument("--ext-degree", type=int, required=True,
                     help="m for the locator field GF(2^m)")
-    sp.add_argument("--degree", type=int, required=True, help="deg G")
-    sp.add_argument("--length", type=int, help="use only this many locators")
+    sp.add_argument("--degree", type=_count, required=True, help="deg G")
+    sp.add_argument("--length", type=_count, help="use only this many locators")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_build_goppa)

@@ -385,6 +385,8 @@ MAX_LOCATOR_EXPONENT = 10
 
 def bch_locator_exponent(n):
     """Smallest h <= 10 with n | 4^h - 1."""
+    if n < 1:
+        raise RangeError(f"code length {n} is not a positive integer")
     for h in range(1, MAX_LOCATOR_EXPONENT + 1):
         if (4 ** h - 1) % n == 0:
             return h
@@ -547,6 +549,8 @@ def goppa_build(field, locators, gpoly, base=GF2):
 
 def find_irreducible(field, degree, seed=0):
     """Deterministic search for a monic irreducible polynomial over the field."""
+    if degree < 1:
+        raise ConstructionError(f"an irreducible polynomial needs degree >= 1, got {degree}")
     rng = np.random.default_rng(seed)
     while True:
         f = [int(x) for x in rng.integers(0, field.order, size=degree)] + [1]

@@ -12,9 +12,14 @@ equivalent to C2).
 
 A verified candidate within the radius is the unique nearest codeword, so
 the branch scan stops at the first one; the decoder never returns an
-unverified word.  The module also provides the exhaustive sum-rank
-nearest-codeword oracle, the weighted error channel, and a simulation
-harness with per-trial counter-mode seeding.
+unverified word.  A later branch whose input lies within C2's decoding
+radius r2 of an earlier candidate is settled as that candidate without a
+decode: the C2 decoder is assumed complete (it returns the codeword within
+r2 of every such input, as BchDecoder, GoppaDecoder and OracleDecoder do),
+and d2 > 2 r2 leaves that candidate as the only possible answer.  The
+module also provides the exhaustive sum-rank nearest-codeword oracle, the
+weighted error channel, and a simulation harness with per-trial
+counter-mode seeding.
 """
 
 import time
@@ -54,7 +59,7 @@ class SrDecodeResult:
     succeeded_branch: Optional[int] = None      # GF(4) symbol 1, 2 or 3
     candidates_considered: Tuple = ()           # (beta, outcome) per branch
     dec1_calls: int = 0
-    dec2_calls: int = 0
+    dec2_calls: int = 0     # beta-branches evaluated (<= 3), settled ones included
 
     @property
     def ok(self):
@@ -90,7 +95,10 @@ def sr_decode(code, dec1, dec2, received, d_sr=None):
     floor((d_sr - 1) / 2); d_sr defaults to code.d_sr_decodable, and a
     larger one is a ConfigError.  Outside the radius it returns a typed
     failure or, if two verified candidates tie, the ambiguous state -
-    never a guess.
+    never a guess.  A beta-branch whose input is within dec2.radius of an
+    earlier branch's candidate is recorded as that candidate without
+    calling dec2, which must therefore be complete up to its radius; the
+    result is the one decoding every branch would give.
     """
     radius = _check_config(code, dec1, dec2, d_sr)
     if len(received.coeff_x2) != received.length:
@@ -121,18 +129,27 @@ def _sr_decode(dec1, dec2, received, radius):
     s1 = (ie1 | ie1 >> 1) & ones
     w1 = 2 * s1.bit_count()
     considered = []
-    candidates = []
+    candidates = []  # (w, c2 as an integer)
     for beta in (1, 2, 3):
-        if s1:
-            scaled = ie1 if beta == 1 else int.from_bytes(e1.translate(SCALE4[beta]), "big")
-            res2 = dec2.decode((iy0 ^ scaled).to_bytes(n, "big"))
-        else:
-            res2 = dec2.decode(y0)
+        scaled = ie1 if beta == 1 else int.from_bytes(e1.translate(SCALE4[beta]), "big")
+        ix = iy0 ^ scaled
+        # An input within dec2.radius of an earlier candidate decodes to it
+        # (d2 > 2 * dec2.radius makes it the only codeword there), and that
+        # candidate's weight already failed the radius: settle the branch.
+        settled = False
+        for _, ic in candidates:
+            d = ix ^ ic
+            settled |= ((d | d >> 1) & ones).bit_count() <= dec2.radius
+        if settled:
+            considered.append((beta, "candidate"))
+            continue
+        res2 = dec2.decode(ix.to_bytes(n, "big"))
         if not res2.ok:
             considered.append((beta, res2.status))
             continue
         c2 = res2.codeword
-        ie0 = iy0 ^ int.from_bytes(c2, "big")
+        ic2 = int.from_bytes(c2, "big")
+        ie0 = iy0 ^ ic2
         s0 = (ie0 | ie0 >> 1) & ones
         w = w1 + 2 * s0.bit_count() - 3 * (s0 & s1).bit_count()
         considered.append((beta, "candidate"))
@@ -141,12 +158,12 @@ def _sr_decode(dec1, dec2, received, radius):
             return SrDecodeResult(STATUS_SUCCESS, SrWord(c2, c1),
                                   SrWord(ie0.to_bytes(n, "big"), e1), beta,
                                   tuple(considered), 1, len(considered))
-        candidates.append((w, c2))
+        candidates.append((w, ic2))
 
     status = STATUS_ALL_BRANCHES_FAILED
     if candidates:
         wmin = min(w for w, _ in candidates)
-        if len({c2 for w, c2 in candidates if w == wmin}) > 1:
+        if len({ic for w, ic in candidates if w == wmin}) > 1:
             status = STATUS_AMBIGUOUS
     return SrDecodeResult(status, None, None, None, tuple(considered), 1, len(considered))
 

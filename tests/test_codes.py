@@ -139,6 +139,9 @@ def test_designed_distance_sound_by_sampling_large_code():
 def test_bch_length_must_divide():
     with pytest.raises(RangeError):
         bch_build(23, (1, 3))  # 4 has order 11 > 10 modulo 23
+    for n in (0, -1):   # -1 divides every 4^h - 1, and 0 none
+        with pytest.raises(RangeError):
+            bch_build(n, (1, 3))
 
 
 def test_bch_rejects_unclosed_set():
@@ -299,6 +302,9 @@ def test_goppa_rejects_bad_input():
     G = find_irreducible(F, 2, seed=0)
     with pytest.raises(ConstructionError):
         goppa_build(F, [1, 1, 2], G, base=GF2)  # duplicate locator
+    for degree in (0, -2):   # a degree-0 search would never end
+        with pytest.raises(ConstructionError):
+            find_irreducible(F, degree)
 
 
 def test_goppa_flexible_length():

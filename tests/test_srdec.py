@@ -28,6 +28,9 @@ from srcodes.srdec import (
     STATUS_ALL_BRANCHES_FAILED,
     STATUS_AMBIGUOUS,
     STATUS_C1_FAILURE,
+    STATUS_SUCCESS,
+    SrDecodeResult,
+    _sr_decode,
     error_profiles,
     evaluate_word,
     min_branch_weight,
@@ -44,6 +47,14 @@ def pair15():
     c2 = bch_build(15, DefiningSet.from_cosets(15, [0, 1, 2]))   # [15,10,4]
     code = sr_construct(c1, c2)
     return code, BchDecoder(c1), BchDecoder(c2)
+
+
+@pytest.fixture(scope="module")
+def pair25():
+    # criterion 01's pair: radius 12, and C2 = [25,2,20] decodes to radius 9
+    c1 = bch_build(25, DefiningSet(25, range(1, 25)))                # [25,1,25]
+    c2 = bch_build(25, DefiningSet.from_cosets(25, [0, 1, 2, 5]))    # [25,2,20]
+    return sr_construct(c1, c2), BchDecoder(c1), BchDecoder(c2)
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +182,82 @@ def test_branch_diagnostics_example():
     err = SrWord(bytes(e0), bytes(e1))
     res = sr_decode(code, dec1, dec2, code.encode([0] * code.f2_dimension) + err, 6)
     assert res.ok and res.succeeded_branch == 1 and res.error == err
+
+
+def _decode_every_branch(dec1, dec2, received, radius):
+    """The reduction decoder with no settled branches: every beta-branch up
+    to the first success is decoded against C2, and weights come from the
+    block ranks."""
+    res1 = dec1.decode(received.coeff_x2)
+    if not res1.ok:
+        return SrDecodeResult(STATUS_C1_FAILURE, None, None, None, (), 1, 0)
+    c1, e1 = res1.codeword, res1.error
+    considered, candidates = [], []
+    for beta in (1, 2, 3):
+        res2 = dec2.decode(vec_xor(received.coeff_x, vec_scale(e1, beta)))
+        if not res2.ok:
+            considered.append((beta, res2.status))
+            continue
+        c2 = res2.codeword
+        error = SrWord(vec_xor(received.coeff_x, c2), e1)
+        w = sumrank_weight(error)
+        considered.append((beta, "candidate"))
+        if w <= radius:
+            return SrDecodeResult(STATUS_SUCCESS, SrWord(c2, c1), error, beta,
+                                  tuple(considered), 1, len(considered))
+        candidates.append((w, c2))
+    status = STATUS_ALL_BRANCHES_FAILED
+    if candidates:
+        wmin = min(w for w, _ in candidates)
+        if len({c2 for w, c2 in candidates if w == wmin}) > 1:
+            status = STATUS_AMBIGUOUS
+    return SrDecodeResult(status, None, None, None, tuple(considered), 1, len(considered))
+
+
+def test_settled_branches_match_decoding_every_branch(pair25):
+    # a branch input within r2 = 9 of an earlier candidate is settled without
+    # a C2 decode; every field must match decoding each branch, and the
+    # sample must contain settled branches.  Weights 16-18, drawn about half
+    # the time, often give later branches both within and beyond r2 of an
+    # earlier candidate.
+    code, dec1, dec2 = pair25
+    radius = (code.d_sr_decodable - 1) // 2
+    recording = _Recording(dec2, hashlib.md5())
+    branches = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(bits=st.lists(st.integers(0, 1), min_size=code.f2_dimension,
+                         max_size=code.f2_dimension),
+           w=st.integers(0, 2 * radius) | st.integers(radius + 4, radius + 6),
+           seed=st.integers(0, 2 ** 32))
+    def check(bits, w, seed):
+        received = code.encode(bits) + sample_error(code.n, w, seed)
+        res = _sr_decode(dec1, recording, received, radius)
+        ref = _decode_every_branch(dec1, dec2, received, radius)
+        assert (res.status, res.codeword, res.error, res.succeeded_branch) == \
+            (ref.status, ref.codeword, ref.error, ref.succeeded_branch)
+        assert res.candidates_considered == ref.candidates_considered
+        assert (res.dec1_calls, res.dec2_calls) == (ref.dec1_calls, ref.dec2_calls)
+        branches.append(res.dec2_calls)
+
+    check()
+    assert len(recording.words) < sum(branches)
+
+
+def test_x_slot_error_settles_branches_two_and_three(pair25):
+    # e1 = 0 gives all three branches the input y0; 8 errors in the x slot
+    # are within r2 = 9 of the sent C2 word but weigh 16 > 12 in sum rank
+    code, dec1, dec2 = pair25
+    assert dec2.radius == 9
+    sent = code.encode([1, 0, 1, 1, 0, 1])
+    e0 = bytes([1, 2, 3, 1, 2, 3, 1, 2] + [0] * 17)
+    received = sent + SrWord(e0, bytes(25))
+    recording = _Recording(dec2, hashlib.md5())
+    res = sr_decode(code, dec1, recording, received)
+    assert res.status == STATUS_ALL_BRANCHES_FAILED
+    assert res.candidates_considered == ((1, "candidate"), (2, "candidate"), (3, "candidate"))
+    assert res.dec2_calls == 3
+    assert recording.words == [received.coeff_x]
 
 
 def test_c1_failure_status(pair15):
@@ -431,13 +518,16 @@ def test_simulate_rows_do_not_depend_on_jobs(pair15):
 
 
 class _Recording:
-    """A component decoder that feeds every word it is given to a hash."""
+    """A component decoder that keeps every word it is given and feeds it to
+    a hash."""
 
     def __init__(self, dec, log):
         self.code, self.radius, self._dec, self._log = dec.code, dec.radius, dec, log
+        self.words = []
 
     def decode(self, word):
         self._log.update(word)
+        self.words.append(word)
         return self._dec.decode(word)
 
 
@@ -462,14 +552,11 @@ def test_simulate_golden_rows(pair15):
     ]
 
 
-def test_block25_pair_decodes_at_declared_distance():
+def test_block25_pair_decodes_at_declared_distance(pair25):
     # true distance is 30 but d1 = 25 only supports a declared target of 25;
     # the decoder still corrects all 12 = floor((25-1)/2) sum-rank errors
-    c1 = bch_build(25, DefiningSet(25, range(1, 25)))                # [25,1,25]
-    c2 = bch_build(25, DefiningSet.from_cosets(25, [0, 1, 2, 5]))    # [25,2,20]
-    code = sr_construct(c1, c2)
+    code, dec1, dec2 = pair25
     assert code.decoder_ready_for(25) and not code.decoder_ready_for(30)
-    dec1, dec2 = BchDecoder(c1), BchDecoder(c2)
     rng = np.random.default_rng(8)
     for _ in range(20):
         bits = [int(b) for b in rng.integers(0, 2, size=code.f2_dimension)]
