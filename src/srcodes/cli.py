@@ -111,6 +111,17 @@ def _count(text):
             f"expects a non-negative integer, got {text!r}") from None
 
 
+def _length(text):
+    """argparse type of a code length such as --n: a positive integer."""
+    try:
+        n = _int(text)
+    except ConstructionError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expects a positive integer, got {text!r}")
+    return n
+
+
 def _arg_d_sr(code, d_sr):
     """--d-sr as sr_decode's d_sr: 0 means the default, code.d_sr_decodable."""
     top = code.d_sr_decodable
@@ -483,13 +494,13 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("coset", help="print a 4-cyclotomic coset")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_length, required=True)
     sp.add_argument("--q", type=int, default=4)
     sp.add_argument("--s", type=int, required=True)
     sp.set_defaults(func=cmd_coset)
 
     sp = sub.add_parser("build-bch", help="build a quaternary BCH code file")
-    sp.add_argument("--n", type=_count, required=True)
+    sp.add_argument("--n", type=_length, required=True)
     sp.add_argument("--cosets", help="comma separated coset leaders")
     sp.add_argument("--b", type=int, default=1, help="run start for --delta form")
     sp.add_argument("--delta", type=int, help="designed distance")

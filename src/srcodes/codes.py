@@ -10,8 +10,6 @@ from functools import reduce
 from itertools import compress
 from operator import xor
 
-import numpy as np
-
 from .errors import BudgetError, ConstructionError, RangeError
 from .gf2m import (
     GF2,
@@ -44,6 +42,8 @@ def cyclotomic_coset(s, q, n):
     """The q-cyclotomic coset of s modulo n, as a sorted tuple."""
     import math
 
+    if n < 1:
+        raise RangeError(f"coset modulus {n} is not a positive integer")
     if math.gcd(q, n) != 1:
         raise ConstructionError(f"gcd({q}, {n}) != 1; cosets are not well defined")
     s %= n
@@ -156,13 +156,23 @@ def rref(field, rows):
 
 def nullspace(reduced, pivots, ncols):
     """Right kernel of a matrix in the reduced form rref returns, as bytes:
-    per free column f, a 1 at f and column f at the pivots (char 2: -a = a)."""
+    per free column f, a 1 at f and column f at the pivots (char 2: -a = a).
+
+    Transposes by strided bytes slices: the matrix's free columns, read as
+    rows, hold the kernel's pivot columns, and the kernel is then laid out
+    column by column and read back a row at a time.
+    """
     free = sorted(set(range(ncols)) - set(pivots))
-    basis = np.zeros((len(free), ncols), dtype=np.uint8)
-    basis[np.arange(len(free)), free] = 1
-    matrix = np.frombuffer(b"".join(reduced), dtype=np.uint8).reshape(len(reduced), ncols)
-    basis[:, pivots] = matrix[:, free].T
-    return [v.tobytes() for v in basis]
+    k, rank = len(free), len(pivots)
+    matrix = b"".join(reduced)
+    free_cols = b"".join(matrix[f::ncols] for f in free)  # k x rank
+    columns = [b""] * ncols
+    for j, p in enumerate(pivots):
+        columns[p] = free_cols[j::rank]
+    for i, f in enumerate(free):
+        columns[f] = bytes(i) + b"\x01" + bytes(k - 1 - i)
+    by_column = b"".join(columns)  # ncols x k
+    return [by_column[i::k] for i in range(k)]
 
 
 # ----------------------------------------------------------------------
@@ -551,6 +561,8 @@ def find_irreducible(field, degree, seed=0):
     """Deterministic search for a monic irreducible polynomial over the field."""
     if degree < 1:
         raise ConstructionError(f"an irreducible polynomial needs degree >= 1, got {degree}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     while True:
         f = [int(x) for x in rng.integers(0, field.order, size=degree)] + [1]
@@ -604,6 +616,8 @@ def iter_codeword_chunks(code):
     words is built once, cached read-only on the code, and yielded as a
     single chunk; larger codes are generated 2^16 words at a time.
     """
+    import numpy as np
+
     matrix = getattr(code, "_codeword_matrix", None)
     if matrix is None and code.size() <= _MATERIALIZE_LIMIT:
         matrix = np.concatenate([c for c, _ in _generate_chunks(code)])
@@ -617,6 +631,8 @@ def iter_codeword_chunks(code):
 
 def _generate_chunks(code):
     # low generators span the chunk; high ones step through a Gray code
+    import numpy as np
+
     gens = list(code.f2_generators)
     n = code.n
     low = min(len(gens), _CHUNK_BITS)
@@ -642,6 +658,8 @@ def nearest_codeword(code, received, budget, exclude_zero=False):
     """
     if 1 << code.f2_dimension > budget:
         raise BudgetError(f"2^{code.f2_dimension} codewords exceed the budget {budget}")
+    import numpy as np
+
     rec = np.frombuffer(received, dtype=np.uint8)
     best, tie, word = None, False, None
     for chunk, holds_zero in iter_codeword_chunks(code):

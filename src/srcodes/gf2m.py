@@ -29,13 +29,12 @@ first, with trailing zeros trimmed; the zero polynomial is [] with degree -1.
 from array import array
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import ConstructionError, EmbedError, RangeError
 
 MAX_DEGREE = 20
 
-# exp/log are 4-byte arrays from this degree on, lists of ints below it.  A
+# exp/log are 4-byte arrays built in numpy from this degree on, lists of ints
+# built in Python below it, so the small fields never import numpy.  A
 # large list's ints scatter over memory, so a random multiply misses cache;
 # timed on a 2-core x86-64 VM, in ns list/array: 106/182 at m=14, 197/212
 # at m=15, 666/316 at m=16 and 931/462 at m=20.
@@ -110,6 +109,37 @@ def _prime_factors(n):
     return out
 
 
+def _doubling_tables(m, g, mod):
+    """exp and log of GF(2^m) with generator g as numpy uint32/int32 arrays,
+    by doubling: exp[k:2k] = exp[:k] * g^k, then log[exp] = arange.
+
+    Multiplying by g^k is GF(2)-linear, so each level reads it from one
+    256-entry table per byte of the element, built from the images of
+    single bits.  Imports numpy; FieldContext uses it for the large fields.
+    """
+    import numpy as np
+
+    n = (1 << m) - 1
+    nbytes = (m + 7) // 8
+    byte_bits = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(bool)  # [v, j]
+    exp = np.empty(n, dtype=np.uint32)
+    exp[0] = k = 1
+    while k < n:
+        gk = _bp_mulmod(int(exp[k - 1]), g, mod)
+        images = np.array([_bp_mulmod(gk, 1 << i, mod) for i in range(8 * nbytes)],
+                          dtype=np.uint32).reshape(nbytes, 1, 8)
+        tables = np.bitwise_xor.reduce(np.where(byte_bits, images, 0), axis=2)  # [b, v]
+        s = min(k, n - k)
+        exp[k:k + s] = tables[0][exp[:s] & 255]
+        for b in range(1, nbytes):
+            exp[k:k + s] ^= tables[b][exp[:s] >> 8 * b & 255]
+        k += s
+    log = np.empty(n + 1, dtype=np.int32)
+    log[exp] = np.arange(n, dtype=np.int32)
+    log[0] = -1
+    return exp, log
+
+
 # ----------------------------------------------------------------------
 # field context
 # ----------------------------------------------------------------------
@@ -153,41 +183,38 @@ class FieldContext:
         raise ConstructionError("no generator found (impossible for a field)")
 
     def _build_tables(self):
-        """exp by doubling, exp[k:2k] = exp[:k] * g^k, then log[exp] = arange.
+        """exp[i] = g^i by stepping x -> g * x, then log[exp[i]] = i.
 
-        Multiplying by g^k is GF(2)-linear, so each level reads it from one
-        256-entry table per byte of the element, built from the images of
-        single bits.  The numpy buffers become lists, or arrays from
-        _ARRAY_TABLES_FROM_DEGREE on; the decoders index either alike.
+        Multiplying by g is GF(2)-linear, so a step reads it from two
+        256-entry tables, one per byte of x.  From _ARRAY_TABLES_FROM_DEGREE
+        on, _doubling_tables builds both in numpy instead and they are stored
+        as arrays; the decoders index lists and arrays alike.
         """
-        n, mod = self.order - 1, self.modulus
-        nbytes = (self.m + 7) // 8
-        byte_bits = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(bool)  # [v, j]
-        exp = np.empty(n, dtype=np.uint32)
-        exp[0] = k = 1
-        while k < n:
-            gk = _bp_mulmod(int(exp[k - 1]), self.generator, mod)
-            images = np.array([_bp_mulmod(gk, 1 << i, mod) for i in range(8 * nbytes)],
-                              dtype=np.uint32).reshape(nbytes, 1, 8)
-            tables = np.bitwise_xor.reduce(np.where(byte_bits, images, 0), axis=2)  # [b, v]
-            s = min(k, n - k)
-            exp[k:k + s] = tables[0][exp[:s] & 255]
-            for b in range(1, nbytes):
-                exp[k:k + s] ^= tables[b][exp[:s] >> 8 * b & 255]
-            k += s
-        log = np.empty(n + 1, dtype=np.int32)
-        log[exp] = np.arange(n, dtype=np.int32)
+        m, n, g, mod = self.m, self.order - 1, self.generator, self.modulus
+        if m >= _ARRAY_TABLES_FROM_DEGREE:
+            exp, log = _doubling_tables(m, g, mod)
+            # frombytes copies raw bytes, so the item sizes must match the dtypes
+            if array("I").itemsize == array("i").itemsize == 4:
+                self.exp, self.log = array("I"), array("i")
+                self.exp.frombytes(exp.view("u1"))
+                self.log.frombytes(log.view("u1"))
+            else:
+                self.exp = exp.tolist()
+                del exp  # freed before the second list is made
+                self.log = log.tolist()
+            return
+        low = [_bp_mulmod(g, v, mod) for v in range(256)]
+        high = [_bp_mulmod(g, v << 8, mod) for v in range(1 << max(m - 8, 0))]
+        exp = [0] * n
+        x = 1
+        for i in range(n):
+            exp[i] = x
+            x = low[x & 255] ^ high[x >> 8]
+        log = [0] * (n + 1)
+        for i, x in enumerate(exp):
+            log[x] = i
         log[0] = -1
-        # frombytes copies raw bytes, so the item sizes must match the dtypes
-        if (self.m >= _ARRAY_TABLES_FROM_DEGREE
-                and array("I").itemsize == array("i").itemsize == 4):
-            self.exp, self.log = array("I"), array("i")
-            self.exp.frombytes(exp.view(np.uint8))
-            self.log.frombytes(log.view(np.uint8))
-        else:
-            self.exp = exp.tolist()
-            del exp  # freed before the second list is made
-            self.log = log.tolist()
+        self.exp, self.log = exp, log
 
     # -- element operations ------------------------------------------------
 

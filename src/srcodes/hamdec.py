@@ -39,8 +39,6 @@ syndrome once the other errors are taken out.
 
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from .errors import BudgetError, ConfigError, RangeError
 from .gf2m import (gf2_insert, gf2_reduce, gf4_embedding, poly_deg, poly_derivative,
                    poly_eval, poly_gcd, poly_mul, vec_checked)
@@ -471,12 +469,16 @@ class GoppaDecoder(_AlgebraicDecoder):
                 qlog.append(0)
         super().__init__(code, F, (0, 1) if binary else gf4_embedding(F), columns,
                          nsyn, ptlog, qlog)
+        import numpy as np
+
         self._powlog = np.array(self._powlog, dtype=np.int64)
         self._exp_table = np.array(F.exp, dtype=np.uint32)
 
     def _roots(self, sigma):
         """Positions i with sigma(p_i) = 0, for deg(sigma) <= radius; the
         locator 0 has no p_i and is never a root."""
+        import numpy as np
+
         log = self._log
         nz = [j for j, c in enumerate(sigma) if c]
         ls = np.array([log[sigma[j]] for j in nz], dtype=np.int64)

@@ -22,13 +22,12 @@ weighted error channel, and a simulation harness with per-trial
 counter-mode seeding.
 """
 
+import numbers
 import time
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
-
-import numpy as np
 
 from .errors import ConfigError, RangeError
 from .gf2m import SCALE4, vec_checked, vec_scale, vec_xor
@@ -207,6 +206,8 @@ def sample_error(length, w, rng):
     """
     if not 0 <= w <= 2 * length:
         raise RangeError(f"target weight {w} outside [0, {2 * length}]")
+    import numpy as np
+
     rng = np.random.default_rng(rng)  # a Generator comes back unchanged
     if w == 0:
         return sr_zero(length)
@@ -238,7 +239,8 @@ def min_branch_weight(e0, e1):
 # ----------------------------------------------------------------------
 
 def _is_count(value):
-    return isinstance(value, (int, np.integer)) and value >= 0
+    # numpy registers its integer types as Integral
+    return isinstance(value, numbers.Integral) and value >= 0
 
 
 def simulate(code, dec1, dec2, weights, trials, seed=0, d_sr=None, jobs=1):
@@ -262,6 +264,8 @@ def simulate(code, dec1, dec2, weights, trials, seed=0, d_sr=None, jobs=1):
         if not _is_count(w) or w > 2 * code.n:
             raise RangeError(f"weight {w!r} is not an integer in 0..{2 * code.n}")
     radius = _check_config(code, dec1, dec2, d_sr)
+    import numpy as np
+
     rows = []
     for w in weights:
         tally = {"weight": w, "trials": trials, "success": 0, "failure": 0,

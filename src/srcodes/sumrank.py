@@ -18,8 +18,6 @@ bound and the entropy-based rate bounds.
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import BudgetError, ConstructionError, RangeError
 from .gf2m import GF4, vec_checked, vec_xor
 from .codes import DEFAULT_BUDGET, iter_codeword_chunks
@@ -211,6 +209,8 @@ def sr_sweep(code, received, budget, exclude_zero=False):
     if 1 << code.f2_dimension > budget:
         raise BudgetError(
             f"2^{code.f2_dimension} codewords exceed the budget {budget}")
+    import numpy as np
+
     r1 = np.frombuffer(received.coeff_x2, dtype=np.uint8)
     r2 = np.frombuffer(received.coeff_x, dtype=np.uint8)
     c2_chunks = []

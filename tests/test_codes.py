@@ -38,6 +38,9 @@ def test_coset_examples():
 def test_coset_requires_coprime():
     with pytest.raises(ConstructionError):
         cyclotomic_coset(1, 4, 8)
+    for n in (0, -1):
+        with pytest.raises(RangeError):
+            cyclotomic_coset(1, 4, n)
 
 
 def test_defining_set_closure():

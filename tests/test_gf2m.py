@@ -23,6 +23,7 @@ from srcodes.gf2m import (
     vec_scale,
     vec_xor,
 )
+from srcodes.gf2m import _doubling_tables
 
 
 def _tables(F):
@@ -108,6 +109,18 @@ def test_tables_match_reference_loop(m, modulus):
     # lists for small fields, 4-byte arrays for large ones
     assert list(F.exp) == exp
     assert list(F.log) == log
+
+
+@pytest.mark.parametrize("m, modulus", sorted(
+    (m, mod) for m, mod in DEFAULT_MODULI.items() if m <= 15) + [(8, 0x11B)])
+def test_python_tables_equal_numpy_doubling(m, modulus):
+    # fields below GF(2^16) are built in Python; numpy's doubling builder,
+    # which builds the larger ones, gives the same tables for them
+    F = FieldContext(m, modulus)
+    exp, log = _doubling_tables(m, F.generator, modulus)
+    assert type(F.exp) is type(F.log) is list
+    assert F.exp == exp.tolist()
+    assert F.log == log.tolist()
 
 
 def test_large_field_tables_are_compact():

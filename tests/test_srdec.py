@@ -458,8 +458,26 @@ def test_simulate_defaults_to_the_decodable_distance():
     c1, c2 = bch_build(255, (1, 32)), bch_build(255, (1, 22))
     code = sr_construct(c1, c2)
     assert (code.d_sr_lower, code.d_sr_decodable) == (34, 33)
-    rows = simulate(code, BchDecoder(c1), BchDecoder(c2), [0, 16], 8, seed=3)
+    dec1, dec2 = BchDecoder(c1), BchDecoder(c2)
+    rows = simulate(code, dec1, dec2, [0, 16], 8, seed=3)
     assert [r["success"] for r in rows] == [8, 8]
+    # sr_decode takes the same default
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        sent = code.encode(rng.integers(0, 2, size=code.f2_dimension).tolist())
+        err = sample_error(code.n, 16, rng)
+        res = sr_decode(code, dec1, dec2, sent + err)
+        assert res.ok and res.codeword == sent and res.error == err
+
+
+def test_simulate_accepts_numpy_integers(pair15):
+    # counts are checked as numbers.Integral, which numpy's integers join
+    code, dec1, dec2 = pair15
+    rows = [simulate(code, dec1, dec2, [np.int64(1)], np.int64(5), seed=np.int64(13)),
+            simulate(code, dec1, dec2, [1], 5, seed=13)]
+    for row in rows[0] + rows[1]:
+        row.pop("mean_decode_micros")
+    assert rows[0] == rows[1] and rows[0][0]["success"] == 5
 
 
 def test_simulate_rejects_negative_trials(pair15):
@@ -476,8 +494,10 @@ def test_simulate_rejects_negative_trials(pair15):
     ([1], 1.5, 0),
     ([1], 1, -3),
     ([1], 1, 2.0),
+    ([1], "3", 0),
+    ([1], 1, "3"),
 ], ids=["weight_negative", "weight_too_big", "weight_str", "weight_float",
-        "trials_float", "seed_negative", "seed_float"])
+        "trials_float", "seed_negative", "seed_float", "trials_str", "seed_str"])
 def test_simulate_rejects_bad_inputs_before_any_trial(pair15, weights, trials, seed):
     code, dec1, dec2 = pair15
     log = hashlib.md5()
