@@ -29,7 +29,6 @@ from .codes import (
     DefiningSet,
     LinearCode,
     additive_build,
-    as_additive,
     bch_build,
     bch_dim_lower_bound,
     best_bch_dimension,
@@ -38,7 +37,6 @@ from .codes import (
     goppa_build,
     goppa_pair_dimension,
     min_distance_bruteforce,
-    scale_code,
 )
 from .hamdec import (
     BchDecoder,
@@ -49,15 +47,11 @@ from .hamdec import (
     oracle_decode,
 )
 from .sumrank import (
-    BoundReport,
-    HammingEmbedding,
     SrWord,
     SumRankCode,
-    bound_report,
     decodable_gv_rate,
     entropy_q,
     gv_rate,
-    hamming_embed,
     lin_to_matrix,
     mat2_rank,
     matrix_to_lin,

@@ -101,25 +101,22 @@ def _arg_int(text, flag):
         raise RangeError(f"{flag} expects a non-negative integer, got {text!r}") from None
 
 
-def _count(text):
-    """argparse type of a count such as --trials, --budget or --length: a
-    non-negative integer."""
-    try:
-        return _int(text)
-    except ConstructionError:
-        raise argparse.ArgumentTypeError(
-            f"expects a non-negative integer, got {text!r}") from None
+def _at_least(low, what):
+    """argparse type of an integer flag that is at least low."""
+    def parse(text):
+        try:
+            v = _int(text)
+        except ConstructionError:
+            v = -1
+        if v < low:
+            raise argparse.ArgumentTypeError(f"expects {what}, got {text!r}")
+        return v
+    return parse
 
 
-def _length(text):
-    """argparse type of a code length such as --n: a positive integer."""
-    try:
-        n = _int(text)
-    except ConstructionError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expects a positive integer, got {text!r}")
-    return n
+_count = _at_least(0, "a non-negative integer")          # --trials, --budget, --seed
+_length = _at_least(1, "a positive integer")             # a code length --n
+_field_size = _at_least(2, "an integer of at least 2")   # coset --q
 
 
 def _arg_d_sr(code, d_sr):
@@ -452,13 +449,12 @@ def cmd_simulate(args):
     code = sr_construct(c1, c2)
     d_sr = _arg_d_sr(code, args.d_sr)
     weights = [_arg_int(t, "--weights") for t in args.weights.split(",")]
-    if args.seed is not None:
-        seed = _arg_int(args.seed, "--seed")
-    else:
+    seed = args.seed
+    if seed is None:
         seed = _arg_int(os.environ.get("SRCODES_SEED", "0"), "SRCODES_SEED")
     rows = simulate(code, make_decoder(c1, budget=args.budget),
                     make_decoder(c2, budget=args.budget), weights, args.trials, seed=seed,
-                    d_sr=d_sr, jobs=args.jobs)
+                    d_sr=d_sr)
     out = []
     for r in rows:
         us = "0.0" if args.no_timing else f"{r['mean_decode_micros']:.1f}"
@@ -495,7 +491,7 @@ def build_parser():
 
     sp = sub.add_parser("coset", help="print a 4-cyclotomic coset")
     sp.add_argument("--n", type=_length, required=True)
-    sp.add_argument("--q", type=int, default=4)
+    sp.add_argument("--q", type=_field_size, default=4)
     sp.add_argument("--s", type=int, required=True)
     sp.set_defaults(func=cmd_coset)
 
@@ -513,7 +509,7 @@ def build_parser():
                     help="m for the locator field GF(2^m)")
     sp.add_argument("--degree", type=_count, required=True, help="deg G")
     sp.add_argument("--length", type=_count, help="use only this many locators")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_count, default=0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_build_goppa)
 
@@ -554,11 +550,9 @@ def build_parser():
     sp.add_argument("--c2", required=True)
     sp.add_argument("--weights", required=True)
     sp.add_argument("--trials", type=_count, default=100)
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=_count)
     sp.add_argument("--d-sr", type=int, default=0,
                     help="declared d_sr in 1..d_sr_decodable; 0 means d_sr_decodable")
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="deprecated and ignored; trials run serially")
     sp.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
     sp.add_argument("--no-timing", action="store_true",
                     help="zero the timing column for byte-reproducible output")

@@ -2,8 +2,8 @@
 
 Covers cyclotomic cosets, quaternary BCH codes of any length n | 4^h - 1,
 binary/quaternary Goppa codes, additive quaternary codes, and the generic
-linear-code utilities (encoding, membership, scaling, exhaustive minimum
-distance).  Codewords are byte strings of symbol values.
+linear-code utilities (encoding, membership, exhaustive minimum distance).
+Codewords are byte strings of symbol values.
 """
 
 from functools import reduce
@@ -44,6 +44,8 @@ def cyclotomic_coset(s, q, n):
 
     if n < 1:
         raise RangeError(f"coset modulus {n} is not a positive integer")
+    if q < 2:
+        raise RangeError(f"field size {q} is below 2")
     if math.gcd(q, n) != 1:
         raise ConstructionError(f"gcd({q}, {n}) != 1; cosets are not well defined")
     s %= n
@@ -355,35 +357,6 @@ def additive_build(generators, d_lower=1, d_tag="declared"):
     kept = [g for g in gens if gf2_insert(rows, int.from_bytes(g, "big"))]
     return AdditiveCode(n, kept, d_lower=d_lower, d_tag=d_tag,
                         dropped=len(gens) - len(kept))
-
-
-def as_additive(code):
-    """View a linear code as an additive one (linear is a special case)."""
-    if isinstance(code, AdditiveCode):
-        return code
-    return additive_build(
-        code.f2_generators,
-        d_lower=code.d_exact if code.d_exact is not None else code.d_designed,
-        d_tag="exact" if code.d_exact is not None else code.d_tag,
-    )
-
-
-def scale_code(v, code):
-    """The coordinatewise multiple v * C for a nonzero GF(4) scalar v."""
-    if v == 0:
-        raise RangeError("scaling by zero collapses the code")
-    if v == 1:
-        return code
-    if isinstance(code, AdditiveCode):
-        out = AdditiveCode(code.n, [vec_scale(g, v) for g in code.f2_generators],
-                           d_lower=code.d_designed, d_tag=code.d_tag)
-    else:
-        out = LinearCode(code.base_field,
-                         [vec_scale(g, v) for g in code.generator_matrix],
-                         parity_rows=code.parity_matrix,
-                         d_lower=code.d_designed, d_tag=code.d_tag, check=False)
-    out.d_exact = code.d_exact
-    return out
 
 
 # ----------------------------------------------------------------------

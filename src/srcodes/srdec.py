@@ -25,9 +25,8 @@ counter-mode seeding.
 import numbers
 import time
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .errors import ConfigError, RangeError
 from .gf2m import SCALE4, vec_checked, vec_scale, vec_xor
@@ -50,8 +49,7 @@ def evaluate_word(word, beta):
                    vec_scale(word.coeff_x2, _BETA_SQ[beta]))
 
 
-@dataclass
-class SrDecodeResult:
+class SrDecodeResult(NamedTuple):
     status: str
     codeword: Optional[SrWord] = None
     error: Optional[SrWord] = None
@@ -182,13 +180,9 @@ def sr_oracle_decode(code, received, budget=DEFAULT_BUDGET):
 # error channel
 # ----------------------------------------------------------------------
 
-def error_profiles(length, w):
-    """Nonnegative (i1, i2, i3) with 2 i1 + 2 i2 + i3 = w, i1+i2+i3 <= length."""
-    return list(_error_profiles(length, w))
-
-
 @lru_cache(maxsize=1024)
-def _error_profiles(length, w):
+def error_profiles(length, w):
+    """The tuple of nonnegative (i1, i2, i3) with 2 i1 + 2 i2 + i3 = w, i1+i2+i3 <= length."""
     out = []
     for i3 in range(w % 2, w + 1, 2):
         rest = (w - i3) // 2
@@ -211,7 +205,7 @@ def sample_error(length, w, rng):
     rng = np.random.default_rng(rng)  # a Generator comes back unchanged
     if w == 0:
         return sr_zero(length)
-    profiles = _error_profiles(length, w)  # cached: simulate asks per trial
+    profiles = error_profiles(length, w)  # cached: simulate asks per trial
     i1, i2, i3 = profiles[rng.integers(len(profiles))]
     positions = rng.choice(length, size=i1 + i2 + i3, replace=False).tolist()
     e0 = bytearray(length)

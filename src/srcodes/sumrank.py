@@ -11,8 +11,8 @@ per-word weight has the closed form
 
     wt_sr = 2 wt_H(a1) + 2 wt_H(a2) - 3 |supp(a1) & supp(a2)|.
 
-This module also carries the Hamming-metric embeddings, the Singleton-like
-bound and the entropy-based rate bounds.
+This module also carries the Singleton-like bound and the entropy-based rate
+bounds.
 """
 
 import math
@@ -81,11 +81,6 @@ class SrWord(NamedTuple):
 
 def sr_zero(length):
     return SrWord(bytes(length), bytes(length))
-
-
-def from_matrices(mats):
-    pairs = [matrix_to_lin(m) for m in mats]
-    return SrWord(bytes(p[0] for p in pairs), bytes(p[1] for p in pairs))
 
 
 def sumrank_weight(word):
@@ -184,9 +179,6 @@ class SumRankCode:
         return (self.c1.contains(word.coeff_x2)
                 and self.c2.contains(word.coeff_x))
 
-    def size(self):
-        return 1 << self.f2_dimension
-
     def __repr__(self):
         d = self.d_sr_exact if self.d_sr_exact is not None else self.d_sr_lower
         return (f"SR(l={self.n}, dim_F2={self.f2_dimension}, "
@@ -254,51 +246,6 @@ def sr_min_distance_bruteforce(code, budget=DEFAULT_BUDGET):
 
 
 # ----------------------------------------------------------------------
-# Hamming-metric embeddings
-# ----------------------------------------------------------------------
-
-class HammingEmbedding:
-    """A quaternary Hamming-metric code viewed as a sum-rank code.
-
-    pad:   block i carries coordinate i in its first matrix row, second row
-           zero; weights transfer exactly, rate halves.
-    group: consecutive coordinate pairs become the two matrix rows; the
-           block length halves, rate is kept, distance at least halves.
-    """
-
-    def __init__(self, code, mode):
-        if mode not in ("pad", "group"):
-            raise RangeError(f"unknown embedding mode {mode!r}")
-        if mode == "group" and code.n % 2:
-            raise RangeError("group embedding needs an even length")
-        self.code = code
-        self.mode = mode
-        self.block_length = code.n if mode == "pad" else code.n // 2
-        self.f2_dimension = code.f2_dimension
-        d = code.d_lower
-        self.d_sr_lower = d if mode == "pad" else (d + 1) // 2 if d else d
-        self.rate_sr = self.f2_dimension / (4 * self.block_length)
-
-    def embed_word(self, codeword):
-        mats = []
-        if self.mode == "pad":
-            for s in codeword:
-                mats.append((s & 1) | (s >> 1) << 1)
-        else:
-            for i in range(0, len(codeword), 2):
-                u, v = codeword[i], codeword[i + 1]
-                mats.append((u & 1) | (u >> 1) << 1 | (v & 1) << 2 | (v >> 1) << 3)
-        return from_matrices(mats)
-
-    def encode(self, bits):
-        return self.embed_word(self.code.encode_f2(bits))
-
-
-def hamming_embed(code, mode):
-    return HammingEmbedding(code, mode)
-
-
-# ----------------------------------------------------------------------
 # bounds
 # ----------------------------------------------------------------------
 
@@ -341,19 +288,3 @@ def decodable_gv_rate(delta):
         return 1.0
     return 1 - 0.5 * (entropy_q(4, 4 * delta / 3) + entropy_q(4, 2 * delta))
 
-
-class BoundReport(NamedTuple):
-    length: int
-    d_sr: int
-    singleton_f2_dim: int
-    gv_rate: float          # nan outside the (0, 1/4) domain
-    decodable_gv_rate: float
-
-
-def bound_report(length, d_sr):
-    delta = d_sr / (2 * length)
-    if 0 < delta < 0.25:
-        g, dg = gv_rate(delta), decodable_gv_rate(delta)
-    else:
-        g = dg = float("nan")
-    return BoundReport(length, d_sr, singleton_bound(length, d_sr), g, dg)

@@ -388,12 +388,19 @@ PAIR = ("--c1", "{c1}", "--c2", "{c2}")
     (("build-goppa", "--ext-degree", "5", "--degree", "-2", "--out", "x.code"), None, "--degree"),
     (("coset", "--n", "-1", "--s", "1"), None, "--n"),
     (("coset", "--n", "0", "--s", "1"), None, "--n"),
+    (("coset", "--n", "15", "--q", "0", "--s", "1"), None, "--q"),
+    (("coset", "--n", "15", "--q", "1", "--s", "1"), None, "--q"),
+    (("coset", "--n", "15", "--q", "-1", "--s", "1"), None, "--q"),
+    (("build-goppa", "--ext-degree", "5", "--degree", "2", "--seed", "-1", "--out", "x.code"),
+     None, "--seed"),
+    (("simulate", *PAIR, "--trials", "2", "--weights", "1", "--jobs", "2"), None, "--jobs"),
 ], ids=["weights_word", "weights_empty", "weights_negative", "seed_negative",
         "env_seed", "message_hex", "cosets_word", "d_sr_negative", "d_sr_too_large",
         "decode_d_sr_too_large", "trials_negative", "simulate_budget_negative",
         "decode_budget_negative", "mindist_budget_negative", "bch_n_negative",
         "goppa_length_negative", "goppa_degree_negative", "coset_n_negative",
-        "coset_n_zero"])
+        "coset_n_zero", "coset_q_zero", "coset_q_one", "coset_q_negative",
+        "goppa_seed_negative", "simulate_jobs_removed"])
 def test_cmd_usage_errors_exit_2(tmp_path, argv, env, flag):
     c1 = tmp_path / "c1.code"
     c2 = tmp_path / "c2.code"

@@ -9,7 +9,6 @@ from srcodes.codes import (
     DefiningSet,
     LinearCode,
     additive_build,
-    as_additive,
     bch_build,
     bch_dim_lower_bound,
     best_bch_dimension,
@@ -21,7 +20,6 @@ from srcodes.codes import (
     min_distance_bruteforce,
     nullspace,
     rref,
-    scale_code,
 )
 
 
@@ -41,6 +39,9 @@ def test_coset_requires_coprime():
     for n in (0, -1):
         with pytest.raises(RangeError):
             cyclotomic_coset(1, 4, n)
+    for q in (1, 0, -1):
+        with pytest.raises(RangeError):
+            cyclotomic_coset(1, q, 15)
 
 
 def test_defining_set_closure():
@@ -332,7 +333,7 @@ def test_goppa_table_arithmetic():
 
 def test_additive_from_linear():
     lin = LinearCode(GF4, [bytes([1, 2, 3])], d_lower=3, d_tag="declared")
-    add = as_additive(lin)
+    add = additive_build(lin.f2_generators, d_lower=lin.d_lower)
     assert add.f2_dimension == 2
     assert add.k == 1
 
@@ -361,7 +362,8 @@ def test_symbols_outside_the_field_are_range_errors():
     bch = bch_build(15, (1, 4))
     F = build_field(5)
     binary = goppa_build(F, None, find_irreducible(F, 3, seed=1), base=GF2)
-    for code, word in ((bch, bad), (as_additive(bch), bad),
+    additive = additive_build(bch.f2_generators, d_lower=bch.d_lower)
+    for code, word in ((bch, bad), (additive, bad),
                        (binary, bytes([2]) + bytes(binary.n - 1))):
         with pytest.raises(RangeError):
             code.contains(word)
@@ -420,7 +422,7 @@ def test_encode_rejects_symbols_outside_the_alphabet():
     binary = goppa_build(F, None, find_irreducible(F, 3, seed=1), base=GF2)
     with pytest.raises(RangeError):
         binary.encode([2] + [0] * (binary.k - 1))
-    add = as_additive(code)
+    add = additive_build(code.f2_generators, d_lower=code.d_lower)
     for bad in (2, -1):
         with pytest.raises(RangeError):
             add.encode([bad] + [0] * (add.f2_dimension - 1))
@@ -437,7 +439,7 @@ def _encoding_codes():
         "goppa32-gf2": goppa_build(F, None, find_irreducible(F, 3, seed=1), base=GF2),
         "goppa64-gf4": goppa_build(build_field(6), None,
                                    find_irreducible(build_field(6), 2, seed=2), base=GF4),
-        "additive-of-bch15": as_additive(bch),
+        "additive-of-bch15": additive_build(bch.f2_generators, d_lower=bch.d_lower),
         "additive-random": additive_build(
             [bytes(int(x) for x in np.random.default_rng(s).integers(0, 4, size=12))
              for s in range(9)]),
@@ -481,21 +483,3 @@ def test_min_distance_zero_code_undefined():
     zero = LinearCode(GF4, [], parity_rows=[[1, 0], [0, 1]], d_lower=1)
     with pytest.raises(ValueError):
         min_distance_bruteforce(zero)
-
-
-def test_scale_code_identity_and_inverse():
-    code = bch_build(15, (1, 4))
-    assert scale_code(1, code) is code
-    back = scale_code(3, scale_code(2, code))
-    assert back.generator_matrix == code.generator_matrix
-    with pytest.raises(RangeError):
-        scale_code(0, code)
-
-
-def test_scale_preserves_min_distance():
-    lin = LinearCode(GF4, [bytes([1, 2, 3, 0]), bytes([0, 1, 1, 1])],
-                     d_lower=1, d_tag="declared")
-    d0, _ = min_distance_bruteforce(lin)
-    for v in (2, 3):
-        d1, _ = min_distance_bruteforce(scale_code(v, lin))
-        assert d1 == d0

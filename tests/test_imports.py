@@ -1,6 +1,8 @@
 """numpy is loaded on first use: the BCH path and the CLI's non-simulation
-commands run on the standard library alone."""
+commands run on the standard library alone.  Every export has a caller."""
 
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -15,6 +17,7 @@ BCH_PATH = """
 import sys
 import srcodes
 assert "numpy" not in sys.modules, "import srcodes"
+assert "dataclasses" not in sys.modules, "import srcodes"
 from srcodes import BchDecoder, DefiningSet, SrWord, bch_build, sr_construct, sr_decode
 c1 = bch_build(15, (1, 6))                                   # [15,8,6]
 c2 = bch_build(15, DefiningSet.from_cosets(15, [0, 1, 2]))   # [15,10,4]
@@ -48,3 +51,41 @@ def test_numpy_is_loaded_on_first_use(script):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# Exports with no caller in the package, the demos or the benchmark, kept
+# on purpose: paper artifacts and the references the tests check against.
+KEPT_WITHOUT_CALLER = {
+    "bch_dim_lower_bound": "the paper's dimension bound for block length 4^m - 1",
+    "matrix_to_lin": "the inverse block map; tests check the block bijection with it",
+    "min_branch_weight": "the pigeonhole quantity of the reduction decoder's proof",
+    "sr_oracle_decode": "the exhaustive reference the reduction decoder is tested against",
+}
+
+
+def _names_used(path):
+    used = set()
+    with open(path) as fh:
+        for node in ast.walk(ast.parse(fh.read())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_export_has_a_caller():
+    # a use is a name read outside its definition and outside import lines,
+    # in the package's other modules, the demos or the benchmark (not its tests)
+    with open(os.path.join(SRC, "srcodes", "__init__.py")) as fh:
+        tree = ast.parse(fh.read())
+    exports = [a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+               for a in node.names]
+    repo = os.path.dirname(SRC)
+    paths = [p for p in glob.glob(os.path.join(SRC, "srcodes", "*.py"))
+             if os.path.basename(p) != "__init__.py"]
+    paths += [p for d in ("demos", "perfbench") for p in glob.glob(os.path.join(repo, d, "*.py"))
+              if not os.path.basename(p).startswith("test_")]
+    used = set().union(*map(_names_used, paths))
+    assert set(KEPT_WITHOUT_CALLER) <= set(exports)
+    assert [e for e in exports if e not in used and e not in KEPT_WITHOUT_CALLER] == []

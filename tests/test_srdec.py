@@ -399,7 +399,7 @@ def test_error_profiles_constraint():
         for i1, i2, i3 in error_profiles(length, w):
             assert 2 * i1 + 2 * i2 + i3 == w
             assert i1 + i2 + i3 <= length
-    assert error_profiles(15, 1) == [(0, 0, 1)]
+    assert error_profiles(15, 1) == ((0, 0, 1),)
 
 
 def test_sample_error_exact_weight():

@@ -1,6 +1,5 @@
 import functools
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -16,12 +15,9 @@ from srcodes.codes import (
 )
 from srcodes.sumrank import (
     SrWord,
-    bound_report,
     decodable_gv_rate,
     entropy_q,
-    from_matrices,
     gv_rate,
-    hamming_embed,
     lin_to_matrix,
     mat2_rank,
     matrix_to_lin,
@@ -71,7 +67,8 @@ def test_rank_structure():
 
 def test_word_matrix_roundtrip():
     w = SrWord(bytes([0, 1, 2, 3]), bytes([3, 0, 1, 2]))
-    assert from_matrices(w.to_matrices()) == w
+    pairs = [matrix_to_lin(m) for m in w.to_matrices()]
+    assert SrWord(bytes(p[0] for p in pairs), bytes(p[1] for p in pairs)) == w
 
 
 # ----------------------------------------------------------------------
@@ -330,50 +327,6 @@ def test_sr_budget():
 
 
 # ----------------------------------------------------------------------
-# embeddings
-# ----------------------------------------------------------------------
-
-def test_pad_embedding_weight_transfer():
-    rng = np.random.default_rng(4)
-    code = bch_build(15, (1, 6))
-    emb = hamming_embed(code, "pad")
-    assert emb.block_length == 15
-    assert emb.f2_dimension == 2 * code.k
-    assert emb.rate_sr == pytest.approx((2 * code.k) / (4 * 15))
-    for _ in range(30):
-        bits = [int(b) for b in rng.integers(0, 2, size=emb.f2_dimension)]
-        word = emb.encode(bits)
-        syms = [b0 | b1 << 1 for b0, b1 in zip(bits[0::2], bits[1::2])]
-        cw = code.encode(syms)
-        assert sumrank_weight(word) == sum(1 for s in cw if s)
-
-
-def test_group_embedding():
-    code = LinearCode(GF4, [bytes([1, 0, 0, 0]), bytes([0, 1, 0, 0])],
-                      d_lower=1, d_tag="declared")
-    emb = hamming_embed(code, "group")
-    assert emb.block_length == 2
-    assert emb.rate_sr == pytest.approx(4 / 8)
-    word = emb.encode([1, 0, 0, 0])  # weight-1 codeword
-    assert sumrank_weight(word) == 1
-
-
-def test_group_embedding_needs_even_length():
-    code = LinearCode(GF4, [bytes([1, 1, 1])], d_lower=3, d_tag="declared")
-    with pytest.raises(RangeError):
-        hamming_embed(code, "group")
-
-
-def test_group_embedding_halved_distance_bound():
-    code = LinearCode(GF4, [bytes([1, 1, 1, 1])], d_lower=4, d_tag="declared")
-    emb = hamming_embed(code, "group")
-    assert emb.d_sr_lower == 2
-    for v in (1, 2, 3):
-        word = emb.embed_word(bytes([v] * 4))
-        assert sumrank_weight(word) >= emb.d_sr_lower
-
-
-# ----------------------------------------------------------------------
 # bounds
 # ----------------------------------------------------------------------
 
@@ -414,11 +367,3 @@ def test_rate_bound_domain():
         gv_rate(0.25)
     with pytest.raises(RangeError):
         decodable_gv_rate(-0.01)
-
-
-def test_bound_report():
-    rep = bound_report(15, 6)
-    assert rep.singleton_f2_dim == 2 * 25
-    assert 0 <= rep.decodable_gv_rate <= rep.gv_rate <= 1
-    rep_big = bound_report(15, 20)
-    assert math.isnan(rep_big.gv_rate)
