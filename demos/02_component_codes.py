@@ -15,8 +15,8 @@ from srcodes import (
     find_irreducible,
     goppa_build,
     min_distance_bruteforce,
-    packaged_code,
 )
+from srcodes.cli import packaged_code
 
 print("== cyclotomic cosets mod 63 (base 4) ==")
 for s in (0, 1, 2, 5, 21):

@@ -72,16 +72,5 @@ from .srdec import (
     sr_decode,
     sr_oracle_decode,
 )
-from .cli import (
-    dump_code,
-    dump_word,
-    load_code,
-    load_word,
-    packaged_code,
-    read_code_file,
-    read_word_file,
-    write_code_file,
-    write_word_file,
-)
 
 __version__ = "0.1.0"

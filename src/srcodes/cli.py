@@ -29,8 +29,8 @@ import os
 import sys
 from importlib import resources
 
-from .errors import BudgetError, ConfigError, ConstructionError, RangeError
-from .gf2m import GF2, GF4, build_field
+from .errors import BudgetError, ConstructionError, RangeError
+from .gf2m import GF2, GF4, MAX_DEGREE, build_field
 from .codes import (
     DEFAULT_BUDGET,
     AdditiveCode,
@@ -101,28 +101,34 @@ def _arg_int(text, flag):
         raise RangeError(f"{flag} expects a non-negative integer, got {text!r}") from None
 
 
-def _at_least(low, what):
-    """argparse type of an integer flag that is at least low."""
+def _at_least(low, what, high=None):
+    """argparse type of an integer flag in low..high (unbounded above by default)."""
     def parse(text):
         try:
             v = _int(text)
         except ConstructionError:
             v = -1
-        if v < low:
+        if v < low or (high is not None and v > high):
             raise argparse.ArgumentTypeError(f"expects {what}, got {text!r}")
         return v
     return parse
 
 
-_count = _at_least(0, "a non-negative integer")          # --trials, --budget, --seed
-_length = _at_least(1, "a positive integer")             # a code length --n
-_field_size = _at_least(2, "an integer of at least 2")   # coset --q
+_count = _at_least(0, "a non-negative integer")      # --trials, --budget, --seed, --d-sr
+_length = _at_least(1, "a positive integer")         # a code length --n
+_two_up = _at_least(2, "an integer of at least 2")   # coset --q, build-bch --delta
+_ext_degree = _at_least(1, f"an integer in 1..{MAX_DEGREE}", MAX_DEGREE)
+
+
+def _counts(text):
+    """argparse type of a comma-separated list of non-negative integers."""
+    return [_count(t) for t in text.split(",")]
 
 
 def _arg_d_sr(code, d_sr):
     """--d-sr as sr_decode's d_sr: 0 means the default, code.d_sr_decodable."""
     top = code.d_sr_decodable
-    if top is not None and not 0 <= d_sr <= top:
+    if top is not None and d_sr > top:
         raise RangeError(f"--d-sr expects an integer in 0..{top}, where 0 means {top}; got {d_sr}")
     return d_sr or None
 
@@ -294,14 +300,6 @@ def compute_block15_table(d2_rule):
     return rows
 
 
-def compute_goppa_table(entries):
-    rows = []
-    for m, d in entries:
-        dim_half, _ = goppa_pair_dimension(m, d)
-        rows.append((1 << m, d, 2 * dim_half, singleton_bound(1 << m, d)))
-    return rows
-
-
 # ----------------------------------------------------------------------
 # commands
 # ----------------------------------------------------------------------
@@ -317,19 +315,20 @@ def _emit(rows, header, pretty):
             print(",".join(str(v) for v in r))
 
 
+def _pair(args):
+    """The sum-rank code of the --c1 and --c2 code files."""
+    return sr_construct(read_code_file(args.c1), read_code_file(args.c2))
+
+
 def cmd_coset(args):
     print(",".join(str(x) for x in cyclotomic_coset(args.s, args.q, args.n)))
     return 0
 
 
 def cmd_build_bch(args):
-    if args.cosets is not None:
-        leaders = [_arg_int(t, "--cosets") for t in args.cosets.split(",")]
-        code = bch_build(args.n, DefiningSet.from_cosets(args.n, leaders))
-    elif args.delta is not None:
-        code = bch_build(args.n, (args.b, args.delta))
-    else:
-        raise ConstructionError("need --cosets or --delta")
+    form = ((args.b, args.delta) if args.cosets is None
+            else DefiningSet.from_cosets(args.n, args.cosets))
+    code = bch_build(args.n, form)
     write_code_file(code, args.out)
     print(f"wrote [{code.n},{code.k},{code.d_designed}]_4 ({code.d_tag}) to {args.out}")
     return 0
@@ -339,18 +338,15 @@ def cmd_build_goppa(args):
     base = GF2 if args.base == "gf2" else GF4
     field = build_field(args.ext_degree)
     gpoly = find_irreducible(field, args.degree, seed=args.seed)
-    locators = [a for a in field.elements()][:args.length] if args.length else list(field.elements())
+    locators = list(field.elements())[:args.length or None]   # --length 0 keeps them all
     code = goppa_build(field, locators, gpoly, base=base)
     write_code_file(code, args.out)
-    q = base.order
-    print(f"wrote [{code.n},{code.k},{code.d_designed}]_{q} ({code.d_tag}) to {args.out}")
+    print(f"wrote [{code.n},{code.k},{code.d_designed}]_{base.order} ({code.d_tag}) to {args.out}")
     return 0
 
 
 def cmd_build_sr(args):
-    c1 = read_code_file(args.c1)
-    c2 = read_code_file(args.c2)
-    code = sr_construct(c1, c2)
+    code = _pair(args)
     d = code.d_sr_lower
     print(f"length {code.n}")
     print(f"f2_dimension {code.f2_dimension}")
@@ -365,28 +361,22 @@ def cmd_build_sr(args):
 
 
 def cmd_tables(args):
-    ref = reference_tables()
-    rows = []
-    if args.table in (1, 3):
+    ref = reference_tables()[f"table{args.table}"]
+    if args.table == 2:
+        computed = [(1 << r["m"], r["d_sr"], 2 * goppa_pair_dimension(r["m"], r["d_sr"])[0],
+                     singleton_bound(1 << r["m"], r["d_sr"])) for r in ref]
+        header = ("length",)
+    else:
         rule = (lambda d: (d + 1) // 2) if args.table == 1 else (lambda d: (2 * d + 2) // 3)
         computed = compute_block15_table(rule)
-        for (d, dim, cap), rrow in zip(computed, ref[f"table{args.table}"]):
-            dim_ref = 2 * rrow["dim_half"]
-            cap_ref = 2 * rrow["singleton_half"]
-            ok = "yes" if (dim == dim_ref and cap == cap_ref) else "MISMATCH"
-            rows.append((d, dim, dim_ref, cap, cap_ref, ok))
-        _emit(rows, ("d_sr", "dim_f2", "dim_f2_ref", "singleton_f2",
-                     "singleton_f2_ref", "match"), args.pretty)
-    else:
-        entries = [(r["m"], r["d_sr"]) for r in ref["table2"]]
-        computed = compute_goppa_table(entries)
-        for (n, d, dim, cap), rrow in zip(computed, ref["table2"]):
-            dim_ref = 2 * rrow["dim_half"]
-            cap_ref = 2 * rrow["singleton_half"]
-            ok = "yes" if (dim == dim_ref and cap == cap_ref) else "MISMATCH"
-            rows.append((n, d, dim, dim_ref, cap, cap_ref, ok))
-        _emit(rows, ("length", "d_sr", "dim_f2", "dim_f2_ref", "singleton_f2",
-                     "singleton_f2_ref", "match"), args.pretty)
+        header = ()
+    rows = []
+    for (*key, dim, cap), rrow in zip(computed, ref):
+        dim_ref, cap_ref = 2 * rrow["dim_half"], 2 * rrow["singleton_half"]
+        ok = "yes" if (dim, cap) == (dim_ref, cap_ref) else "MISMATCH"
+        rows.append((*key, dim, dim_ref, cap, cap_ref, ok))
+    _emit(rows, header + ("d_sr", "dim_f2", "dim_f2_ref", "singleton_f2",
+                          "singleton_f2_ref", "match"), args.pretty)
     return 0
 
 
@@ -400,11 +390,8 @@ def cmd_bounds(args):
     rows = []
     d = start
     while d <= stop + 1e-12:
-        rows.append((f"{d:.6f}",
-                     f"{entropy_q(4, d):.9f}",
-                     f"{entropy_q(4, 2 * d):.9f}",
-                     f"{gv_rate(d):.9f}",
-                     f"{decodable_gv_rate(d):.9f}"))
+        curves = (entropy_q(4, d), entropy_q(4, 2 * d), gv_rate(d), decodable_gv_rate(d))
+        rows.append((f"{d:.6f}", *(f"{v:.9f}" for v in curves)))
         d += step
     _emit(rows, ("delta", "entropy4_delta", "entropy4_2delta",
                  "gv_rate", "decodable_gv_rate"), args.pretty)
@@ -412,7 +399,7 @@ def cmd_bounds(args):
 
 
 def cmd_encode(args):
-    code = sr_construct(read_code_file(args.c1), read_code_file(args.c2))
+    code = _pair(args)
     if args.message.strip("01"):
         raise RangeError(f"--message expects a string of 0s and 1s, got {args.message!r}")
     word = code.encode([int(c) for c in args.message])
@@ -422,13 +409,11 @@ def cmd_encode(args):
 
 
 def cmd_decode(args):
-    c1 = read_code_file(args.c1)
-    c2 = read_code_file(args.c2)
-    code = sr_construct(c1, c2)
+    code = _pair(args)
     d_sr = _arg_d_sr(code, args.d_sr)
     received = read_word_file(args.word)
-    res = sr_decode(code, make_decoder(c1, budget=args.budget),
-                    make_decoder(c2, budget=args.budget), received, d_sr)
+    decoders = [make_decoder(c, budget=args.budget) for c in (code.c1, code.c2)]
+    res = sr_decode(code, *decoders, received, d_sr)
     print(f"status {res.status}")
     branches = " ".join(f"{b}:{s}" for b, s in res.candidates_considered)
     print(f"branches {branches if branches else '-'}")
@@ -444,29 +429,24 @@ def cmd_decode(args):
 
 
 def cmd_simulate(args):
-    c1 = read_code_file(args.c1)
-    c2 = read_code_file(args.c2)
-    code = sr_construct(c1, c2)
+    code = _pair(args)
     d_sr = _arg_d_sr(code, args.d_sr)
-    weights = [_arg_int(t, "--weights") for t in args.weights.split(",")]
     seed = args.seed
     if seed is None:
         seed = _arg_int(os.environ.get("SRCODES_SEED", "0"), "SRCODES_SEED")
-    rows = simulate(code, make_decoder(c1, budget=args.budget),
-                    make_decoder(c2, budget=args.budget), weights, args.trials, seed=seed,
-                    d_sr=d_sr)
-    out = []
-    for r in rows:
-        us = "0.0" if args.no_timing else f"{r['mean_decode_micros']:.1f}"
-        out.append((r["weight"], r["trials"], r["success"], r["failure"],
-                    r["ambiguous"], r["miscorrections"], us))
-    _emit(out, ("weight", "trials", "success", "failure", "ambiguous",
-                "miscorrections", "mean_decode_micros"), args.pretty)
+    decoders = [make_decoder(c, budget=args.budget) for c in (code.c1, code.c2)]
+    rows = simulate(code, *decoders, args.weights, args.trials, seed=seed, d_sr=d_sr)
+    tallies = ("weight", "trials", "success", "failure", "ambiguous", "miscorrections")
+    out = [tuple(r[k] for k in tallies)
+           + ("%.1f" % (0 if args.no_timing else r["mean_decode_micros"]),) for r in rows]
+    _emit(out, tallies + ("mean_decode_micros",), args.pretty)
     return 0
 
 
 def cmd_mindist(args):
     if args.code:
+        if args.c1 or args.c2:
+            raise RangeError("--code measures one code; pass it without --c1 or --c2")
         code = read_code_file(args.code)
         d, witness = min_distance_bruteforce(code, budget=args.budget)
         print(f"dmin {d}")
@@ -474,8 +454,7 @@ def cmd_mindist(args):
     else:
         if not (args.c1 and args.c2):
             raise RangeError("need --code or both --c1 and --c2")
-        code = sr_construct(read_code_file(args.c1), read_code_file(args.c2))
-        d, witness = sr_min_distance_bruteforce(code, budget=args.budget)
+        d, witness = sr_min_distance_bruteforce(_pair(args), budget=args.budget)
         print(f"dmin_sr {d}")
         print(f"witness_x {_sym_str(witness.coeff_x)}")
         print(f"witness_x2 {_sym_str(witness.coeff_x2)}")
@@ -488,24 +467,35 @@ def build_parser():
         description="Binary linear sum-rank-metric codes with 2x2 blocks: "
                     "construction, bounds, and fast reduction decoding.")
     sub = p.add_subparsers(dest="command", required=True)
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--c1", required=True)
+    pair.add_argument("--c2", required=True)
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
+    pretty = argparse.ArgumentParser(add_help=False)
+    pretty.add_argument("--pretty", action="store_true")
+    d_sr = argparse.ArgumentParser(add_help=False)
+    d_sr.add_argument("--d-sr", type=_count, default=0,
+                      help="declared d_sr in 1..d_sr_decodable; 0 means d_sr_decodable")
 
     sp = sub.add_parser("coset", help="print a 4-cyclotomic coset")
     sp.add_argument("--n", type=_length, required=True)
-    sp.add_argument("--q", type=_field_size, default=4)
+    sp.add_argument("--q", type=_two_up, default=4)
     sp.add_argument("--s", type=int, required=True)
     sp.set_defaults(func=cmd_coset)
 
     sp = sub.add_parser("build-bch", help="build a quaternary BCH code file")
     sp.add_argument("--n", type=_length, required=True)
-    sp.add_argument("--cosets", help="comma separated coset leaders")
+    form = sp.add_mutually_exclusive_group(required=True)
+    form.add_argument("--cosets", type=_counts, help="comma separated coset leaders")
+    form.add_argument("--delta", type=_two_up, help="designed distance")
     sp.add_argument("--b", type=int, default=1, help="run start for --delta form")
-    sp.add_argument("--delta", type=int, help="designed distance")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_build_bch)
 
     sp = sub.add_parser("build-goppa", help="build a Goppa code file")
     sp.add_argument("--base", choices=("gf2", "gf4"), default="gf2")
-    sp.add_argument("--ext-degree", type=int, required=True,
+    sp.add_argument("--ext-degree", type=_ext_degree, required=True,
                     help="m for the locator field GF(2^m)")
     sp.add_argument("--degree", type=_count, required=True, help="deg G")
     sp.add_argument("--length", type=_count, help="use only this many locators")
@@ -513,60 +503,51 @@ def build_parser():
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_build_goppa)
 
-    sp = sub.add_parser("build-sr", help="pair two code files; print the manifest")
-    sp.add_argument("--c1", required=True)
-    sp.add_argument("--c2", required=True)
+    sp = sub.add_parser("build-sr", parents=[pair],
+                        help="pair two code files; print the manifest")
     sp.set_defaults(func=cmd_build_sr)
 
-    sp = sub.add_parser("tables", help="recompute a reference table and compare")
+    sp = sub.add_parser("tables", parents=[pretty],
+                        help="recompute a reference table and compare")
     sp.add_argument("--table", type=int, choices=(1, 2, 3), required=True)
-    sp.add_argument("--pretty", action="store_true")
     sp.set_defaults(func=cmd_tables)
 
-    sp = sub.add_parser("bounds", help="rate bound curves on a delta grid")
+    sp = sub.add_parser("bounds", parents=[pretty], help="rate bound curves on a delta grid")
     sp.add_argument("--delta-grid", required=True, help="start:stop:step")
-    sp.add_argument("--pretty", action="store_true")
     sp.set_defaults(func=cmd_bounds)
 
-    sp = sub.add_parser("encode", help="encode message bits into a word file")
-    sp.add_argument("--c1", required=True)
-    sp.add_argument("--c2", required=True)
+    sp = sub.add_parser("encode", parents=[pair], help="encode message bits into a word file")
     sp.add_argument("--message", required=True, help="bit string of length dim_F2")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_encode)
 
-    sp = sub.add_parser("decode", help="decode a word file")
-    sp.add_argument("--c1", required=True)
-    sp.add_argument("--c2", required=True)
+    sp = sub.add_parser("decode", parents=[pair, d_sr, budget], help="decode a word file")
     sp.add_argument("--word", required=True)
-    sp.add_argument("--d-sr", type=int, default=0,
-                    help="declared d_sr in 1..d_sr_decodable; 0 means d_sr_decodable")
-    sp.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_decode)
 
-    sp = sub.add_parser("simulate", help="run the weighted error channel")
-    sp.add_argument("--c1", required=True)
-    sp.add_argument("--c2", required=True)
-    sp.add_argument("--weights", required=True)
+    sp = sub.add_parser("simulate", parents=[pair, d_sr, budget, pretty],
+                        help="run the weighted error channel")
+    sp.add_argument("--weights", type=_counts, required=True)
     sp.add_argument("--trials", type=_count, default=100)
     sp.add_argument("--seed", type=_count)
-    sp.add_argument("--d-sr", type=int, default=0,
-                    help="declared d_sr in 1..d_sr_decodable; 0 means d_sr_decodable")
-    sp.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
     sp.add_argument("--no-timing", action="store_true",
                     help="zero the timing column for byte-reproducible output")
-    sp.add_argument("--pretty", action="store_true")
     sp.set_defaults(func=cmd_simulate)
 
-    sp = sub.add_parser("mindist", help="certify a minimum distance by brute force")
+    sp = sub.add_parser("mindist", parents=[budget],
+                        help="certify a minimum distance by brute force")
     sp.add_argument("--code", help="single code file (Hamming metric)")
     sp.add_argument("--c1", help="pair mode: x^2 component")
     sp.add_argument("--c2", help="pair mode: x component")
-    sp.add_argument("--budget", type=_count, default=DEFAULT_BUDGET)
     sp.set_defaults(func=cmd_mindist)
 
     return p
+
+
+# the first matching row wins: RangeError, ConstructionError and ConfigError are ValueErrors
+_EXIT_CODES = ((BudgetError, EXIT_BUDGET), (RangeError, EXIT_USAGE),
+               (FileNotFoundError, EXIT_USAGE), (ValueError, EXIT_CONSTRUCTION))
 
 
 def main(argv=None):
@@ -577,21 +558,9 @@ def main(argv=None):
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except BudgetError as e:
+    except tuple(exc for exc, _ in _EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (ConstructionError, ConfigError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
-    except RangeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
+        return next(code for exc, code in _EXIT_CODES if isinstance(e, exc))
 
 
 if __name__ == "__main__":

@@ -394,13 +394,25 @@ PAIR = ("--c1", "{c1}", "--c2", "{c2}")
     (("build-goppa", "--ext-degree", "5", "--degree", "2", "--seed", "-1", "--out", "x.code"),
      None, "--seed"),
     (("simulate", *PAIR, "--trials", "2", "--weights", "1", "--jobs", "2"), None, "--jobs"),
+    (("build-bch", "--n", "15", "--cosets", "1", "--delta", "5", "--out", "x.code"), None,
+     "--delta"),
+    (("build-bch", "--n", "15", "--out", "x.code"), None, "--cosets"),
+    (("build-bch", "--n", "15", "--delta", "1", "--out", "x.code"), None, "--delta"),
+    (("build-bch", "--n", "15", "--delta", "-4", "--out", "x.code"), None, "--delta"),
+    (("build-goppa", "--ext-degree", "0", "--degree", "2", "--out", "x.code"), None,
+     "--ext-degree"),
+    (("build-goppa", "--ext-degree", "25", "--degree", "2", "--out", "x.code"), None,
+     "--ext-degree"),
+    (("mindist", "--code", "{c1}", "--c1", "{c2}"), None, "--code"),
 ], ids=["weights_word", "weights_empty", "weights_negative", "seed_negative",
         "env_seed", "message_hex", "cosets_word", "d_sr_negative", "d_sr_too_large",
         "decode_d_sr_too_large", "trials_negative", "simulate_budget_negative",
         "decode_budget_negative", "mindist_budget_negative", "bch_n_negative",
         "goppa_length_negative", "goppa_degree_negative", "coset_n_negative",
         "coset_n_zero", "coset_q_zero", "coset_q_one", "coset_q_negative",
-        "goppa_seed_negative", "simulate_jobs_removed"])
+        "goppa_seed_negative", "simulate_jobs_removed", "bch_both_forms", "bch_neither_form",
+        "delta_one", "delta_negative", "ext_degree_zero", "ext_degree_too_large",
+        "mindist_code_and_pair"])
 def test_cmd_usage_errors_exit_2(tmp_path, argv, env, flag):
     c1 = tmp_path / "c1.code"
     c2 = tmp_path / "c2.code"
@@ -410,6 +422,27 @@ def test_cmd_usage_errors_exit_2(tmp_path, argv, env, flag):
     rc, out, err = run_cli(*(a.format(c1=c1, c2=c2) for a in argv), env=env)
     assert rc == 2 and flag in err and "Traceback" not in err
     assert out == ""
+
+
+SHARED_FLAGS = ("--c1", "--c2", "--budget", "--pretty", "--d-sr")
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("coset", ()),
+    ("build-bch", ()),
+    ("build-goppa", ()),
+    ("build-sr", ("--c1", "--c2")),
+    ("tables", ("--pretty",)),
+    ("bounds", ("--pretty",)),
+    ("encode", ("--c1", "--c2")),
+    ("decode", ("--c1", "--c2", "--budget", "--d-sr")),
+    ("simulate", ("--c1", "--c2", "--budget", "--pretty", "--d-sr")),
+    ("mindist", ("--c1", "--c2", "--budget")),
+])
+def test_help_lists_shared_flags(capsys, command, flags):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert [f for f in SHARED_FLAGS if f in out] == [f for f in SHARED_FLAGS if f in flags]
 
 
 def test_cli_module_entry_points():

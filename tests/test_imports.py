@@ -1,5 +1,6 @@
 """numpy is loaded on first use: the BCH path and the CLI's non-simulation
-commands run on the standard library alone.  Every export has a caller."""
+commands run on the standard library alone, and the library path never loads
+the command line's argparse or json.  Every export has a caller."""
 
 import ast
 import glob
@@ -18,6 +19,7 @@ import sys
 import srcodes
 assert "numpy" not in sys.modules, "import srcodes"
 assert "dataclasses" not in sys.modules, "import srcodes"
+assert "argparse" not in sys.modules and "json" not in sys.modules, "import srcodes"
 from srcodes import BchDecoder, DefiningSet, SrWord, bch_build, sr_construct, sr_decode
 c1 = bch_build(15, (1, 6))                                   # [15,8,6]
 c2 = bch_build(15, DefiningSet.from_cosets(15, [0, 1, 2]))   # [15,10,4]
@@ -30,6 +32,7 @@ e0[3], e1[3] = 2, 1
 res = sr_decode(code, dec1, dec2, sent + SrWord(bytes(e0), bytes(e1)))
 assert res.ok and res.codeword == sent, res
 assert "numpy" not in sys.modules, "sr_decode"
+assert "argparse" not in sys.modules and "json" not in sys.modules, "sr_decode"
 from srcodes import cli
 assert cli.main(["coset", "--n", "15", "--s", "1"]) == 0
 assert "numpy" not in sys.modules, "srcodes coset"
