@@ -337,6 +337,9 @@ def cmd_build_bch(args):
 def cmd_build_goppa(args):
     base = GF2 if args.base == "gf2" else GF4
     field = build_field(args.ext_degree)
+    if args.length and args.length > field.order:
+        raise RangeError(f"--length {args.length} exceeds the {field.order} elements of "
+                         f"GF(2^{field.m})")
     gpoly = find_irreducible(field, args.degree, seed=args.seed)
     locators = list(field.elements())[:args.length or None]   # --length 0 keeps them all
     code = goppa_build(field, locators, gpoly, base=base)

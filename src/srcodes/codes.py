@@ -516,6 +516,8 @@ def goppa_build(field, locators, gpoly, base=GF2):
     gen_rows = nullspace(parity_rows, pivots, n)
     if len(gen_rows) < n - m_rel * r:
         raise AssertionError("Goppa dimension fell below the n - m*deg(G) bound")
+    if not gen_rows:
+        raise ConstructionError(f"the Goppa code of degree {r} on {n} locators is the zero code")
 
     separable = base.order == 2 and poly_deg(
         poly_gcd(field, gpoly, poly_derivative(gpoly))) == 0
@@ -531,16 +533,82 @@ def goppa_build(field, locators, gpoly, base=GF2):
 
 
 def find_irreducible(field, degree, seed=0):
-    """Deterministic search for a monic irreducible polynomial over the field."""
+    """Deterministic search for a monic irreducible polynomial over the field.
+
+    The candidates' low coefficients are the stream of numpy's
+    `default_rng(seed).integers(0, field.order, size=degree)`, called until
+    one is irreducible, reproduced on the standard library: the polynomial
+    depends on the seed alone, not on the installed numpy.  The seed is a
+    non-negative integer.
+    """
+    if not isinstance(seed, int) or seed < 0:
+        raise RangeError(f"seed must be a non-negative integer, got {seed!r}")
     if degree < 1:
         raise ConstructionError(f"an irreducible polynomial needs degree >= 1, got {degree}")
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
+    draws = _uniform_draws(seed, field.order)
     while True:
-        f = [int(x) for x in rng.integers(0, field.order, size=degree)] + [1]
+        f = [next(draws) for _ in range(degree)] + [1]
         if poly_is_irreducible(field, f):
             return f
+
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _seed_words(seed):
+    """The four 64-bit words numpy's SeedSequence(seed) hands to PCG64: the
+    seed's 32-bit words are hashed into a pool of four, mixed together, and
+    the pool is hashed out again (O'Neill's seed_seq_fe)."""
+    def hasher(h, mult):
+        def hashmix(v):  # the multiplier h moves on at every call
+            nonlocal h
+            v ^= h
+            h = h * mult & _M32
+            v = v * h & _M32
+            return v ^ v >> 16
+        return hashmix
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    out = list(map(hasher(0x8B51F9DD, 0x58F38DED), pool * 2))
+    return [out[k] | out[k + 1] << 32 for k in range(0, 8, 2)]
+
+
+def _uniform_draws(seed, high):
+    """Endless draws in [0, high), 2 <= high <= 2^32, equal to those of
+    consecutive numpy `default_rng(seed).integers(0, high, size)` calls.
+
+    PCG64 is a 128-bit LCG whose XSL-RR output gives 64 bits per step,
+    handed out as 32-bit words low half first; a draw is Lemire's bounded
+    multiply of one word, rejected while its low 32 bits fall below
+    2^32 mod high.
+    """
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    w = _seed_words(seed)
+    inc = (w[2] << 65 | w[3] << 1 | 1) & _M128
+    state = ((inc + (w[0] << 64 | w[1])) * mult + inc) & _M128
+    threshold = (1 << 32) % high
+    while True:
+        state = (state * mult + inc) & _M128
+        rot = state >> 122
+        x = (state >> 64 ^ state) & _M64
+        x = (x >> rot | x << (64 - rot)) & _M64
+        for word in (x & _M32, x >> 32):
+            prod = word * high
+            if prod & _M32 >= threshold:
+                yield prod >> 32
 
 
 def goppa_pair_dimension(m, d_sr):

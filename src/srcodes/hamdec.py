@@ -22,15 +22,18 @@ set, so a single pass over the word yields both the decoding syndromes and
 the membership check; a candidate is verified by adding the syndromes of
 its few error positions.
 
-Both root searches for degree three and more read one table built per
+BCH's root search for degree three and more reads a table built per
 decoder: row j holds j * log(p_i) for every position, with p_i = X_i^-1,
-so sigma_j p_i^j is a single exp lookup.  BCH evaluates sigma at each
+so sigma_j p_i^j is a single exp lookup.  It evaluates sigma at each
 position in turn, in the log domain, and stops after the last root.  While
 enough positions are left for it to pay, it divides each root it finds out
 of the polynomial it scans, and once two degrees are left it takes their
 roots in the degree-two closed form, scanning on only when that form finds
-no two positions past the last root.  Goppa takes all its locators in one
-numpy gather and XOR-reduce over that table.
+no two positions past the last root.  Goppa evaluates sigma at all its
+locators at once in packed lanes: lane i of one integer per power j and
+bit t holds x^t p_i^j, so sigma(p_i) for every i is the XOR of the
+integers that sigma's coefficient bits select, and one addition marks the
+zero lanes, its roots.
 A Goppa code may have the locator 0, whose column reaches the first
 syndrome only: an error there lengthens the Berlekamp-Massey register by
 one without a factor of sigma, and its value is what is left of the
@@ -127,13 +130,6 @@ class _AlgebraicDecoder:
             for r in basis[shift:shift + 8]:
                 table += [y ^ r for y in table]
             self._deg2.append((shift, table))
-
-        # root scan rows: powlog[j][i] = j log(p_i) mod (2^m - 1), less
-        # 2^m - 1, so adding log(sigma_j) gives an index in [-(2^m - 1),
-        # 2^m - 1) that wraps into the exp table.  The column of the
-        # locator 0 is a placeholder.
-        lp = [max(lg, 0) for lg in ptlog]
-        self._powlog = [[j * lg % om1 - om1 for lg in lp] for j in range(radius + 1)]
 
     def decode(self, received):
         """The codeword within the radius of `received`, or a typed failure."""
@@ -341,10 +337,14 @@ class BchDecoder(_AlgebraicDecoder):
                               if not any(e % n in c for e in run))
         # locator X_i = alpha^i, evaluated at p_i = X_i^-1 with q_i = X_i^(b-1)
         logx = [(logg * i) % om1 for i in range(n)]
+        ptlog = [-lx % om1 for lx in logx]
         super().__init__(code, F, gf4_embedding(F),
                          [[exp[logg * e * i % om1] for e in powers] for i in range(n)],
-                         nsyn, [-lx % om1 for lx in logx],
-                         [(lx * (info.b - 1)) % om1 for lx in logx])
+                         nsyn, ptlog, [(lx * (info.b - 1)) % om1 for lx in logx])
+        # root scan rows: powlog[j][i] = j log(p_i) mod (2^m - 1), less
+        # 2^m - 1, so adding log(sigma_j) gives an index in [-(2^m - 1),
+        # 2^m - 1) that wraps into the exp table
+        self._powlog = [[j * lp % om1 - om1 for lp in ptlog] for j in range(self.radius + 1)]
 
     def _roots(self, sigma):
         """Positions i with sigma(p_i) = 0, in increasing order, up to the
@@ -469,23 +469,59 @@ class GoppaDecoder(_AlgebraicDecoder):
                 qlog.append(0)
         super().__init__(code, F, (0, 1) if binary else gf4_embedding(F), columns,
                          nsyn, ptlog, qlog)
-        import numpy as np
 
-        self._powlog = np.array(self._powlog, dtype=np.int64)
-        self._exp_table = np.array(F.exp, dtype=np.uint32)
+        # root search lanes: lane i of an integer is bits [w i, w i + w), the
+        # whole bytes that hold an element of GF(2^m) and a spare top bit.
+        # Lane i of cols[j][t] holds x^t p_i^j; x times a column is a shift
+        # that folds each lane's overflow bit m back in as the modulus' low
+        # bits.  The locator 0 has no p_i: its lane is 0 and never read.
+        m = F.m
+        nb = m // 8 + 1
+        self._w = w = 8 * nb
+        ones = int.from_bytes((b"\1" + bytes(nb - 1)) * self.n, "little")
+        over, low = ones << m, F.modulus ^ 1 << m
+        cols = []
+        for j in range(self.radius + 1):
+            col = int.from_bytes(b"".join([
+                (exp[j * lp % om1] if lp >= 0 else 0).to_bytes(nb, "little")
+                for lp in ptlog]), "little")
+            row = [col]
+            for _ in range(1, m):
+                col <<= 1
+                carry = col & over
+                col ^= carry ^ (carry >> m) * low
+                row.append(col)
+            cols.append(row)
+        self._cols = cols
+        # a lane v < 2^(w-1) is 0 exactly when v + 2^(w-1) - 1 leaves its top
+        # bit clear; the locator 0's top bit is left out of hi
+        self._hi = hi = ones << w - 1
+        self._max = hi - ones
+        if self._zero_at is not None:
+            self._hi ^= 1 << w * (self._zero_at + 1) - 1
 
     def _roots(self, sigma):
-        """Positions i with sigma(p_i) = 0, for deg(sigma) <= radius; the
-        locator 0 has no p_i and is never a root."""
-        import numpy as np
+        """Positions i with sigma(p_i) = 0, in increasing order; the locator
+        0 has no p_i and is never a root.
 
-        log = self._log
-        nz = [j for j, c in enumerate(sigma) if c]
-        ls = np.array([log[sigma[j]] for j in nz], dtype=np.int64)
-        v = np.bitwise_xor.reduce(self._exp_table[self._powlog[nz] + ls[:, None]], axis=0)
-        if self._zero_at is not None:
-            v[self._zero_at] = 1
-        return np.flatnonzero(v == 0).tolist()
+        sigma(p_i) for every i at once is the XOR of cols[j][t] over the
+        set bits t of each sigma_j; its zero lanes are the roots.
+        """
+        v = 0
+        for c, row in zip(sigma, self._cols):
+            while c:
+                bit = c & -c
+                v ^= row[bit.bit_length() - 1]
+                c ^= bit
+        zero = self._hi & ~(v + self._max)
+        w = self._w
+        positions = []
+        while zero:  # the top bit of lane i is bit w i + w - 1
+            top = zero.bit_length()
+            positions.append(top // w - 1)
+            zero ^= 1 << top - 1
+        positions.reverse()
+        return positions
 
 
 class OracleDecoder:

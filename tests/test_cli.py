@@ -424,6 +424,17 @@ def test_cmd_usage_errors_exit_2(tmp_path, argv, env, flag):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, rc, needle", [
+    (("--ext-degree", "4", "--degree", "2", "--length", "100"), 2, "--length"),
+    (("--ext-degree", "3", "--degree", "10"), 1, "zero code"),
+], ids=["length_above_field", "zero_code"])
+def test_build_goppa_refuses_without_writing(tmp_path, argv, rc, needle):
+    out = tmp_path / "g.code"
+    got, stdout, err = run_cli("build-goppa", *argv, "--out", str(out))
+    assert (got, stdout) == (rc, "") and needle in err and "Traceback" not in err
+    assert not out.exists()
+
+
 SHARED_FLAGS = ("--c1", "--c2", "--budget", "--pretty", "--d-sr")
 
 

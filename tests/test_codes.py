@@ -309,6 +309,46 @@ def test_goppa_rejects_bad_input():
     for degree in (0, -2):   # a degree-0 search would never end
         with pytest.raises(ConstructionError):
             find_irreducible(F, degree)
+    with pytest.raises(ConstructionError, match="zero code"):
+        goppa_build(build_field(3), None, find_irreducible(build_field(3), 10), base=GF2)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "x", None])
+def test_find_irreducible_rejects_seeds_that_are_not_counts(seed):
+    # None would be a fresh random polynomial on every call
+    with pytest.raises(RangeError, match="seed"):
+        find_irreducible(build_field(4), 2, seed=seed)
+
+
+# the (field, degree, seed) triples of the benchmark's Goppa pair and the
+# golden matrices, as recorded with numpy 2.4.6's generator
+IRREDUCIBLE_POLYS = {
+    (5, 3, 1): [30, 1, 4, 1],
+    (6, 4, 2): [26, 52, 28, 5, 1],
+    (8, 16, 4): [173, 223, 56, 139, 86, 230, 15, 122, 229, 110, 35, 201, 246, 251, 238, 94, 1],
+    (8, 24, 3): [107, 110, 170, 150, 44, 188, 193, 244, 201, 72, 81, 166, 166, 178, 222, 74,
+                 240, 0, 19, 249, 241, 76, 35, 80, 1],
+}
+
+
+@pytest.mark.parametrize("m, degree, seed", sorted(IRREDUCIBLE_POLYS))
+def test_find_irreducible_golden(m, degree, seed):
+    want = IRREDUCIBLE_POLYS[m, degree, seed]
+    assert find_irreducible(build_field(m), degree, seed=seed) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 130), high=st.integers(2, 2 ** 32),
+       sizes=st.lists(st.integers(1, 40), min_size=1, max_size=4))
+def test_uniform_draws_match_numpy(seed, high, sizes):
+    # find_irreducible's stream equals numpy's over consecutive integers() calls
+    from itertools import islice
+
+    from srcodes.codes import _uniform_draws
+
+    rng, draws = np.random.default_rng(seed), _uniform_draws(seed, high)
+    for size in sizes:
+        assert list(islice(draws, size)) == rng.integers(0, high, size=size).tolist()
 
 
 def test_goppa_flexible_length():

@@ -170,14 +170,21 @@ def test_goppa_agrees_with_oracle_at_all_weights(m, base, degree, locators, tria
 
 
 def _root_scan_cases():
-    F6, F8 = build_field(6), build_field(8)
+    F6, F8, F16 = build_field(6), build_field(8), build_field(16)
     locators90 = [int(a) for a in np.random.default_rng(90).permutation(256)[:90]]
+    locators72 = [int(a) for a in np.random.default_rng(72).choice(np.arange(1, 1 << 16), 71,
+                                                                    replace=False)]
+    locators72.insert(30, 0)
     cases = {
         # all 64 locators, 0 among them; radius 5
         "binary64": goppa_build(F6, None, find_irreducible(F6, 5, seed=2), base=GF2),
         # 90 shuffled locators, 0 not among them; radius 5
         "quaternary90": goppa_build(F8, locators90, find_irreducible(F8, 10, seed=3),
                                     base=GF4),
+        # 72 locators of GF(2^16), 0 at position 30: 24-bit root search
+        # lanes, and a lane for the locator 0 amid the others; radius 4
+        "binary72_gf2_16": goppa_build(F16, locators72, find_irreducible(F16, 4, seed=1),
+                                       base=GF2),
     }
     # irreducible factors of degree 2 and 3 have no roots in the field
     return {name: (GoppaDecoder(code),
