@@ -30,7 +30,7 @@ import sys
 from importlib import resources
 
 from .errors import BudgetError, ConstructionError, RangeError
-from .gf2m import GF2, GF4, MAX_DEGREE, build_field
+from .gf2m import GF2, GF4, MAX_DEGREE, build_field, poly_eval
 from .codes import (
     DEFAULT_BUDGET,
     AdditiveCode,
@@ -230,6 +230,11 @@ def load_code(text):
         raise ConstructionError("declared length does not match the rows")
     if "dexact" in fields:
         code.d_exact = _int(fields["dexact"])
+    # the Singleton bound; an additive code's k is half its F2 dimension, rounded down
+    top = code.n - (code.f2_dimension // 2 if isinstance(code, AdditiveCode) else code.k) + 1
+    for key, d in (("dmin", d_lower), ("dexact", code.d_exact)):
+        if d is not None and d > top:
+            raise ConstructionError(f"{key} {d} exceeds the Singleton bound n - k + 1 = {top}")
     return code
 
 
@@ -337,11 +342,13 @@ def cmd_build_bch(args):
 def cmd_build_goppa(args):
     base = GF2 if args.base == "gf2" else GF4
     field = build_field(args.ext_degree)
-    if args.length and args.length > field.order:
-        raise RangeError(f"--length {args.length} exceeds the {field.order} elements of "
-                         f"GF(2^{field.m})")
     gpoly = find_irreducible(field, args.degree, seed=args.seed)
-    locators = list(field.elements())[:args.length or None]   # --length 0 keeps them all
+    # G's roots are no locators; an irreducible G of degree >= 2 has none
+    locators = [a for a in field.elements() if poly_eval(field, gpoly, a)]
+    if args.length and args.length > len(locators):
+        raise RangeError(f"--length {args.length} exceeds the {len(locators)} elements of "
+                         f"GF(2^{field.m}) that are not roots of G")
+    locators = locators[:args.length or None]   # --length 0 keeps them all
     code = goppa_build(field, locators, gpoly, base=base)
     write_code_file(code, args.out)
     print(f"wrote [{code.n},{code.k},{code.d_designed}]_{base.order} ({code.d_tag}) to {args.out}")
@@ -550,7 +557,7 @@ def build_parser():
 
 # the first matching row wins: RangeError, ConstructionError and ConfigError are ValueErrors
 _EXIT_CODES = ((BudgetError, EXIT_BUDGET), (RangeError, EXIT_USAGE),
-               (FileNotFoundError, EXIT_USAGE), (ValueError, EXIT_CONSTRUCTION))
+               (ValueError, EXIT_CONSTRUCTION))
 
 
 def main(argv=None):
@@ -561,6 +568,13 @@ def main(argv=None):
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args)
+    except OSError as e:
+        # a file named on the command line is a usage error that names its flag
+        flags = [f"--{k}" for k, v in vars(args).items() if isinstance(v, str) and v == e.filename]
+        if not flags:
+            raise
+        print(f"error: {'/'.join(flags)}: {e.strerror}: {e.filename!r}", file=sys.stderr)
+        return EXIT_USAGE
     except tuple(exc for exc, _ in _EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
         return next(code for exc, code in _EXIT_CODES if isinstance(e, exc))

@@ -53,7 +53,7 @@ GUARD_TRIPPED = "miscorrection_guard_tripped"
 
 
 class HammingDecodeResult(NamedTuple):
-    codeword: Optional[bytes]
+    codeword: Optional[bytes]   # None on failure, as is error
     error: Optional[bytes]
     status: str
     tie: bool = False
@@ -63,8 +63,10 @@ class HammingDecodeResult(NamedTuple):
         return self.status == SUCCESS
 
 
-def _fail(status=DECODE_FAILURE, tie=False):
-    return HammingDecodeResult(None, None, status, tie)
+_FAILED = HammingDecodeResult(None, None, DECODE_FAILURE)
+_GUARD_TRIPPED = HammingDecodeResult(None, None, GUARD_TRIPPED)
+_TIE = HammingDecodeResult(None, None, DECODE_FAILURE, True)
+_new = tuple.__new__  # builds a result without the generated __new__'s call
 
 
 class _AlgebraicDecoder:
@@ -146,15 +148,15 @@ class _AlgebraicDecoder:
             raise RangeError("received symbol outside GF(%d)"
                              % self.code.base_field.order) from None
         if not acc:
-            return HammingDecodeResult(received, self._zero, SUCCESS)
+            return _new(HammingDecodeResult, (received, self._zero, SUCCESS, False))
         hit = self._single.get(acc)
         if hit is None:
             return self._decode_syndrome(acc, received)
         i, s = hit
         n = self.n
         err = s << 8 * (n - 1 - i)
-        return HammingDecodeResult((int.from_bytes(received, "big") ^ err).to_bytes(n, "big"),
-                                   err.to_bytes(n, "big"), SUCCESS)
+        cw = (int.from_bytes(received, "big") ^ err).to_bytes(n, "big")
+        return _new(HammingDecodeResult, (cw, err.to_bytes(n, "big"), SUCCESS, False))
 
     def _finish(self, received, acc, positions, omega, sigma, zero):
         """The candidate for errors at `positions`, and at the locator 0
@@ -185,10 +187,10 @@ class _AlgebraicDecoder:
                 for c in odd:
                     den = (exp[(log[den] + lz) % om1] if den else 0) ^ c
                 if den == 0 or num == 0:
-                    return _fail()
+                    return _FAILED
                 val = back.get(exp[(log[num] - log[den] - qlog[i]) % om1])
                 if val is None:
-                    return _fail()
+                    return _FAILED
             err[i] = val
             cand[i] ^= val
             acc ^= contrib[i][val]
@@ -202,13 +204,13 @@ class _AlgebraicDecoder:
                 cand[self._zero_at] ^= val
                 acc = 0
         if acc:
-            return _fail(GUARD_TRIPPED)
-        return HammingDecodeResult(bytes(cand), bytes(err), SUCCESS)
+            return _GUARD_TRIPPED
+        return _new(HammingDecodeResult, (bytes(cand), bytes(err), SUCCESS, False))
 
     def _decode_syndrome(self, acc, received):
         syn = acc & self._synmask
         if not syn:
-            return _fail()
+            return _FAILED
 
         mask = self._mask
         nsyn = self.nsyn
@@ -253,7 +255,7 @@ class _AlgebraicDecoder:
         # factor of sigma
         zero = lfsr == L + 1 and self._zero_at is not None
         if not 0 < L + zero <= self.radius:
-            return _fail()
+            return _FAILED
 
         # the locators X_i are the roots of x^L sigma(1/x); a degree-L
         # polynomial has at most L roots
@@ -261,15 +263,15 @@ class _AlgebraicDecoder:
         if L == 1:
             positions = [position.get(sigma[1])]
             if positions[0] is None:
-                return _fail()
+                return _FAILED
         elif L == 2:
             positions = self._quadratic_roots(1, sigma[1], sigma[2])
             if positions is None:
-                return _fail()
+                return _FAILED
         else:
             positions = self._roots(sigma)
             if len(positions) != L:
-                return _fail()
+                return _FAILED
 
         # omega = sigma * S mod x^nsyn; sigma generates S_0..S_{nsyn-1} as a
         # shift register of length lfsr, so only the terms below x^lfsr can
@@ -554,7 +556,7 @@ class OracleDecoder:
     def decode(self, received):
         res = oracle_decode(self.code, received, self.budget)
         if res.ok and len(res.error) - res.error.count(0) > self.radius:
-            return _fail()
+            return _FAILED
         return res
 
 
@@ -568,7 +570,7 @@ def oracle_decode(code, received, budget=DEFAULT_BUDGET):
     rec = vec_checked(received, code.base_field.order)
     _, tie, word = nearest_codeword(code, rec, budget)
     if tie:
-        return _fail(tie=True)
+        return _TIE
     err = bytes(a ^ b for a, b in zip(rec, word))
     return HammingDecodeResult(word, err, SUCCESS)
 

@@ -34,6 +34,8 @@ from .codes import DEFAULT_BUDGET
 from .sumrank import SrWord, sr_sweep, sr_zero
 
 _BETA_SQ = {1: 1, 2: 3, 3: 2}
+_ONES = {}  # n -> the integer with bit 0 of each of n bytes set
+_new = tuple.__new__  # builds a result without the generated __new__'s call
 
 STATUS_SUCCESS = "success"
 STATUS_C1_FAILURE = "c1_failure"
@@ -63,23 +65,25 @@ class SrDecodeResult(NamedTuple):
         return self.status == STATUS_SUCCESS
 
 
+_C1_FAILED = SrDecodeResult(STATUS_C1_FAILURE, None, None, None, (), 1, 0)
+
+
 def _check_config(code, dec1, dec2, d_sr):
     """Validate d_sr (default code.d_sr_decodable) and the decoders; return the radius."""
-    top = code.d_sr_decodable
-    if top is None:
+    d1, d2 = code.c1.d_lower, code.c2.d_lower  # at every call: d_exact may change
+    if d1 is None or d2 is None:
         raise ConfigError("a zero component leaves no decodable distance")
+    top = min(d1, 3 * d2 // 2)  # code.d_sr_decodable
     if d_sr is None:
         d_sr = top
     if not 1 <= d_sr <= top or d_sr != int(d_sr):
         raise ConfigError(f"declared d_sr = {d_sr} is not an integer in 1..{top}, the "
-                          f"d_sr_decodable of C1 distance {code.c1.d_lower} and "
-                          f"C2 distance {code.c2.d_lower}")
+                          f"d_sr_decodable of C1 distance {d1} and C2 distance {d2}")
     radius = (int(d_sr) - 1) // 2
-    r2 = (code.c2.d_lower - 1) // 2
     if dec1.radius < radius:
         raise ConfigError(f"C1 decoder radius {dec1.radius} < {radius}")
-    if dec2.radius < r2:
-        raise ConfigError(f"C2 decoder radius {dec2.radius} < {r2}")
+    if dec2.radius < (d2 - 1) // 2:
+        raise ConfigError(f"C2 decoder radius {dec2.radius} < {(d2 - 1) // 2}")
     if dec1.code.n != code.n or dec2.code.n != code.n:
         raise ConfigError("decoder/code length mismatch")
     return radius
@@ -98,29 +102,29 @@ def sr_decode(code, dec1, dec2, received, d_sr=None):
     result is the one decoding every branch would give.
     """
     radius = _check_config(code, dec1, dec2, d_sr)
-    if len(received.coeff_x2) != received.length:
+    y0, y1 = received
+    if len(y1) != len(y0):
         raise RangeError(f"received word has coefficient vectors of lengths "
-                         f"{received.length} and {len(received.coeff_x2)}")
-    if received.length != code.n:
-        raise ConfigError(f"received length {received.length} != {code.n}")
-    if not isinstance(received.coeff_x, bytes):  # _sr_decode reads it as an integer
-        received = SrWord(vec_checked(received.coeff_x, 4), received.coeff_x2)
+                         f"{len(y0)} and {len(y1)}")
+    if len(y0) != code.n:
+        raise ConfigError(f"received length {len(y0)} != {code.n}")
+    if not isinstance(y0, bytes):  # _sr_decode reads it as an integer
+        received = SrWord(vec_checked(y0, 4), y1)
     return _sr_decode(dec1, dec2, received, radius)
 
 
 def _sr_decode(dec1, dec2, received, radius):
     """The body of sr_decode, for a configuration that has been checked."""
-    res1 = dec1.decode(received.coeff_x2)
-    if not res1.ok:
-        return SrDecodeResult(STATUS_C1_FAILURE, None, None, None, (), 1, 0)
-    c1, e1 = res1.codeword, res1.error
+    y0, y1 = received
+    c1, e1, _, _ = dec1.decode(y1)
+    if c1 is None:
+        return _C1_FAILED
 
     # Words are big-endian integers, one byte per GF(4) symbol, so a branch
     # input y0 + beta*e1 and a candidate's e0 = y0 + c2 are single XORs, and
     # a support keeps bit 0 of each byte: wt_sr = 2|s0| + 2|s1| - 3|s0 & s1|.
-    y0 = received.coeff_x
     n = len(y0)
-    ones = (1 << 8 * n) // 255
+    ones = _ONES.get(n) or _ONES.setdefault(n, (1 << 8 * n) // 255)
     iy0 = int.from_bytes(y0, "big")
     ie1 = int.from_bytes(e1, "big")
     s1 = (ie1 | ie1 >> 1) & ones
@@ -140,11 +144,10 @@ def _sr_decode(dec1, dec2, received, radius):
         if settled:
             considered.append((beta, "candidate"))
             continue
-        res2 = dec2.decode(ix.to_bytes(n, "big"))
-        if not res2.ok:
-            considered.append((beta, res2.status))
+        c2, _, status, _ = dec2.decode(ix.to_bytes(n, "big"))
+        if c2 is None:
+            considered.append((beta, status))
             continue
-        c2 = res2.codeword
         ic2 = int.from_bytes(c2, "big")
         ie0 = iy0 ^ ic2
         s0 = (ie0 | ie0 >> 1) & ones
@@ -152,9 +155,9 @@ def _sr_decode(dec1, dec2, received, radius):
         considered.append((beta, "candidate"))
         if w <= radius:
             # unique nearest codeword inside the radius: stop scanning
-            return SrDecodeResult(STATUS_SUCCESS, SrWord(c2, c1),
-                                  SrWord(ie0.to_bytes(n, "big"), e1), beta,
-                                  tuple(considered), 1, len(considered))
+            return _new(SrDecodeResult, (STATUS_SUCCESS, _new(SrWord, (c2, c1)),
+                                         _new(SrWord, (ie0.to_bytes(n, "big"), e1)), beta,
+                                         tuple(considered), 1, len(considered)))
         candidates.append((w, ic2))
 
     status = STATUS_ALL_BRANCHES_FAILED
@@ -162,7 +165,7 @@ def _sr_decode(dec1, dec2, received, radius):
         wmin = min(w for w, _ in candidates)
         if len({ic for w, ic in candidates if w == wmin}) > 1:
             status = STATUS_AMBIGUOUS
-    return SrDecodeResult(status, None, None, None, tuple(considered), 1, len(considered))
+    return _new(SrDecodeResult, (status, None, None, None, tuple(considered), 1, len(considered)))
 
 
 def sr_oracle_decode(code, received, budget=DEFAULT_BUDGET):

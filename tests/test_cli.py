@@ -155,6 +155,24 @@ def test_malformed_fields_are_construction_errors():
         load_word("word v1\nlength two\nx 01\nx2 01\n")
 
 
+def test_distance_claims_above_singleton_are_refused(tmp_path):
+    # d <= n - k + 1; an additive code's k is half its F2 dimension, rounded down
+    rep = "code v1\nfield gf4\nkind linear\nlength 3\ndimension 1\ndmin 3 declared\nrow 111\n"
+    additive = dump_code(packaged_code("additive_12_f2dim7_d8.code"))   # bound 12 - 3 + 1
+    assert load_code(rep + "dexact 3\n").d_lower == 3
+    assert load_code(_with_line(additive, "dexact", "dexact 10")).d_lower == 10
+    for text, claim in ((rep + "dexact 9\n", "dexact 9"),
+                        (_with_line(rep, "dmin", "dmin 4 declared"), "dmin 4"),
+                        (_with_line(additive, "dexact", "dexact 11"), "dexact 11"),
+                        (_with_line(additive, "dmin", "dmin 11 declared"), "dmin 11")):
+        with pytest.raises(ConstructionError, match=f"^{claim} exceeds the Singleton bound"):
+            load_code(text)
+    bad = tmp_path / "rep.code"
+    bad.write_text(rep + "dexact 9\n")
+    rc, out, err = run_cli("build-sr", "--c1", str(bad), "--c2", str(bad))
+    assert (rc, out) == (1, "") and "dexact 9 exceeds the Singleton bound n - k + 1 = 3" in err
+
+
 @functools.lru_cache(maxsize=None)
 def _loader_inputs():
     """(loader, valid file text) pairs for the fuzz test to mutate."""
@@ -404,6 +422,15 @@ PAIR = ("--c1", "{c1}", "--c2", "{c2}")
     (("build-goppa", "--ext-degree", "25", "--degree", "2", "--out", "x.code"), None,
      "--ext-degree"),
     (("mindist", "--code", "{c1}", "--c1", "{c2}"), None, "--code"),
+    (("decode", "--c1", ".", "--c2", "{c2}", "--word", "w.word"), None, "--c1: Is a directory"),
+    (("build-sr", "--c1", "{c1}", "--c2", "{c2}.missing"), None,
+     "--c2: No such file or directory"),
+    (("decode", *PAIR, "--word", "."), None, "--word: Is a directory"),
+    (("decode", *PAIR, "--word", "{c1}.missing"), None, "--word: No such file"),
+    (("mindist", "--code", "."), None, "--code: Is a directory"),
+    (("build-bch", "--n", "15", "--delta", "3", "--out", "."), None, "--out: Is a directory"),
+    (("encode", *PAIR, "--message", "0" * 34, "--out", "{c1}.d/w.word"), None,
+     "--out: No such file"),
 ], ids=["weights_word", "weights_empty", "weights_negative", "seed_negative",
         "env_seed", "message_hex", "cosets_word", "d_sr_negative", "d_sr_too_large",
         "decode_d_sr_too_large", "trials_negative", "simulate_budget_negative",
@@ -412,7 +439,8 @@ PAIR = ("--c1", "{c1}", "--c2", "{c2}")
         "coset_n_zero", "coset_q_zero", "coset_q_one", "coset_q_negative",
         "goppa_seed_negative", "simulate_jobs_removed", "bch_both_forms", "bch_neither_form",
         "delta_one", "delta_negative", "ext_degree_zero", "ext_degree_too_large",
-        "mindist_code_and_pair"])
+        "mindist_code_and_pair", "c1_directory", "c2_missing", "word_directory",
+        "word_missing", "mindist_code_directory", "out_directory", "out_missing_dir"])
 def test_cmd_usage_errors_exit_2(tmp_path, argv, env, flag):
     c1 = tmp_path / "c1.code"
     c2 = tmp_path / "c2.code"
@@ -500,6 +528,19 @@ def test_cmd_mindist_budget_exit(tmp_path):
     run_cli("build-bch", "--n", "63", "--cosets", "0,1,2,3,5", "--out", str(big))
     rc, _, _ = run_cli("mindist", "--code", str(big))
     assert rc == 3
+
+
+def test_cmd_build_goppa_degree_one(tmp_path):
+    # G = x + a has the root a, which cannot be a locator: 15 of GF(16)'s 16
+    # elements remain, and --length may ask for at most those
+    out = tmp_path / "g.code"
+    rc, msg, err = run_cli("build-goppa", "--ext-degree", "4", "--degree", "1", "--out", str(out))
+    assert (rc, err) == (0, "") and msg.startswith("wrote [15,11,3]_2")
+    code = read_code_file(out)
+    assert code.n == 15 and len(code.goppa_info.locators) == 15
+    rc, msg, err = run_cli("build-goppa", "--ext-degree", "4", "--degree", "1",
+                           "--length", "16", "--out", str(out))
+    assert (rc, msg) == (2, "") and "--length 16 exceeds the 15 elements" in err
 
 
 def test_cmd_build_goppa(tmp_path):

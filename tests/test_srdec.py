@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -274,25 +275,66 @@ def test_c1_failure_status(pair15):
         assert res.dec2_calls == 0
 
 
-def test_config_errors(pair15):
+def _zero_code(n):
+    return LinearCode(GF4, [], parity_rows=[[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def test_config_errors(pair15, pair25):
+    # each rejection of _check_config and sr_decode, pinned by its message
     code, dec1, dec2 = pair15
     word = sr_zero(15)
-    with pytest.raises(ConfigError):
-        sr_decode(code, dec1, dec2, word, 7)      # d1 = 6 < 7
-    with pytest.raises(ConfigError):
-        sr_decode(code, dec1, dec2, word, 20)
-    for d_sr in (0, -3, 5.5):                 # radius -1 or not an integer
-        with pytest.raises(ConfigError):
-            sr_decode(code, dec1, dec2, word, d_sr)
-    bad = sr_construct(code.c1, bch_build(15, DefiningSet.from_cosets(15, [5, 6])))
-    with pytest.raises(ConfigError):
-        sr_decode(bad, dec1, BchDecoder(bad.c2), word, 6)  # d2 = 3 < 4
+    d3 = sr_construct(code.c1, bch_build(15, DefiningSet.from_cosets(15, [5, 6])))
+    code25, dec1_25, dec2_25 = pair25
+    cases = [
+        # (code, dec1, dec2, word, d_sr, message)
+        (code, dec1, dec2, word, 7, "declared d_sr = 7 is not an integer in 1..6, the "
+                                    "d_sr_decodable of C1 distance 6 and C2 distance 4"),
+        (code, dec1, dec2, word, 20, "declared d_sr = 20 is not an integer in 1..6"),
+        (code, dec1, dec2, word, 0, "declared d_sr = 0 is not"),
+        (code, dec1, dec2, word, -3, "declared d_sr = -3 is not"),
+        (code, dec1, dec2, word, 5.5, "declared d_sr = 5.5 is not"),
+        # d2 = 3: d_sr_decodable = min(6, 4)
+        (d3, dec1, BchDecoder(d3.c2), word, 6, "declared d_sr = 6 is not an integer in 1..4"),
+        (sr_construct(_zero_code(15), code.c2), dec1, dec2, word, 6,
+         "a zero component leaves no decodable distance"),
+        (sr_construct(code.c1, _zero_code(15)), dec1, dec2, word, 6,
+         "a zero component leaves no decodable distance"),
+        (code, OracleDecoder(code.c1, radius=1), dec2, word, 6, "C1 decoder radius 1 < 2"),
+        # C2 = [25,2,20] has r2 = 9
+        (code25, dec1_25, OracleDecoder(code25.c2, radius=1), sr_zero(25), 25,
+         "C2 decoder radius 1 < 9"),
+        (code, dec1_25, dec2, word, 6, "decoder/code length mismatch"),
+        (code, dec1, dec2, sr_zero(14), 6, "received length 14 != 15"),
+    ]
+    for case_code, d1, d2, received, d_sr, message in cases:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            sr_decode(case_code, d1, d2, received, d_sr)
+
+
+def test_config_is_read_at_every_call():
+    # d_exact is the one mutable field of a code: raising it between two
+    # calls raises the radius the next call asks of each decoder
+    c1, c2 = bch_build(15, (1, 6)), bch_build(15, DefiningSet.from_cosets(15, [0, 1, 2]))
+    code, dec1, dec2 = sr_construct(c1, c2), BchDecoder(c1), BchDecoder(c2)
+    word = sr_zero(15)
+    assert sr_decode(code, dec1, dec2, word).ok
+    c2.d_exact = 5      # r2 = 2 > dec2.radius
+    with pytest.raises(ConfigError, match="^C2 decoder radius 1 < 2$"):
+        sr_decode(code, dec1, dec2, word)
+    c2.d_exact = None
+    c1.d_exact = 5      # d_sr_decodable = min(5, 6)
+    with pytest.raises(ConfigError, match=r"^declared d_sr = 6 is not an integer in 1\.\.5"):
+        sr_decode(code, dec1, dec2, word, 6)
+    assert sr_decode(code, dec1, dec2, word, 5).ok
+    c1.d_exact = None
+    assert sr_decode(code, dec1, dec2, word, 6).ok
 
 
 def test_unequal_halves_are_a_range_error(pair15):
     code, dec1, dec2 = pair15
     for coeff_x, coeff_x2 in ((bytes(15), bytes(14)), (bytes(14), bytes(15))):
-        with pytest.raises(RangeError):
+        with pytest.raises(RangeError, match="^received word has coefficient vectors of "
+                                             f"lengths {len(coeff_x)} and {len(coeff_x2)}$"):
             sr_decode(code, dec1, dec2, SrWord(coeff_x, coeff_x2), 6)
 
 
