@@ -230,6 +230,14 @@ def load_code(text):
         raise ConstructionError("declared length does not match the rows")
     if "dexact" in fields:
         code.d_exact = _int(fields["dexact"])
+    if cons and cons[0] in ("bch", "goppa"):
+        # the construction proves its own bound, so the file may only repeat it
+        if "dmin" in fields and (d_lower, tag) != (code.d_designed, code.d_tag):
+            raise ConstructionError(f"dmin {dmin_str} differs from the {cons[0]} construction's "
+                                    f"{code.d_designed} {code.d_tag}")
+        if code.d_exact is not None and code.d_exact < code.d_designed:
+            raise ConstructionError(f"dexact {code.d_exact} is below the {cons[0]} bound "
+                                    f"{code.d_designed}")
     # the Singleton bound; an additive code's k is half its F2 dimension, rounded down
     top = code.n - (code.f2_dimension // 2 if isinstance(code, AdditiveCode) else code.k) + 1
     for key, d in (("dmin", d_lower), ("dexact", code.d_exact)):

@@ -13,7 +13,13 @@ handed to the caller.
 
 Syndrome evaluation packs all syndrome coordinates of one received symbol
 into a single integer (field addition is XOR, so whole syndrome vectors
-accumulate with one XOR per position).  Errors of weight at most one are
+accumulate with XORs), and takes the word two symbols at a time: a table
+per pair of positions, with a zero symbol in front when n is odd, holds
+the packed syndrome of the pair (a, b) at a << 2 | b, and the pair codes
+of the whole word come at C speed from the word read as one integer x, as
+every second byte of x | x >> 6.  That reads each symbol from the low two
+bits of its byte, so a word with any higher bit set is refused first, or
+the pair (0, 4) would read as (1, 0).  Errors of weight at most one are
 decoded by lookup: a zero syndrome is a codeword, and when the radius is at
 least one, a table built once per decoder maps the packed syndrome of each
 single-symbol error back to that error.  The BCH decoder packs the designed
@@ -21,6 +27,16 @@ syndromes together with one syndrome per cyclotomic coset of the defining
 set, so a single pass over the word yields both the decoding syndromes and
 the membership check; a candidate is verified by adding the syndromes of
 its few error positions.
+
+Berlekamp-Massey stops early after two zero discrepancies in a row, once
+the register length L has 2L <= r + 1 at step r, before the last
+syndrome: a word with e errors, well within the radius, has its locator
+after 2e syndromes, and the rest of the run would only confirm it.  The
+candidate of that register goes through the roots, Forney and the
+membership check.  Its success is exact: the check proves it a codeword
+within the radius, which is unique, and the full run finds the same
+locator for it.  Any other outcome reruns Berlekamp-Massey in full, so
+every failure is the full run's.
 
 BCH's root search for degree three and more reads a table built per
 decoder: row j holds j * log(p_i) for every position, with p_i = X_i^-1,
@@ -67,6 +83,7 @@ _FAILED = HammingDecodeResult(None, None, DECODE_FAILURE)
 _GUARD_TRIPPED = HammingDecodeResult(None, None, GUARD_TRIPPED)
 _TIE = HammingDecodeResult(None, None, DECODE_FAILURE, True)
 _new = tuple.__new__  # builds a result without the generated __new__'s call
+_from_bytes = int.from_bytes  # bound once: the lookup costs as much as a short call
 
 
 class _AlgebraicDecoder:
@@ -111,6 +128,14 @@ class _AlgebraicDecoder:
                 per_sym.append(acc)
             contrib.append(per_sym)
         self._contrib = contrib
+        # per pair of positions, with a zero symbol in front when n is odd,
+        # the packed coefficients of the symbol pair (a, b) at a << 2 | b;
+        # decode() refuses a word with any of the badbits set
+        quad = [[0] * 4] * (code.n % 2) + [per_sym + [0] * (4 - len(per_sym))
+                                           for per_sym in contrib]
+        self._pairs = [[a ^ b for a in hi for b in lo] for hi, lo in zip(quad[::2], quad[1::2])]
+        self._nbytes = len(quad)
+        self._badbits = int.from_bytes(bytes([256 - len(img)]) * code.n, "big")
 
         # the single-symbol error (i, s) behind each packed syndrome of
         # weight one.  The packed syndrome vanishes only on codewords, so a
@@ -139,14 +164,14 @@ class _AlgebraicDecoder:
             raise ConfigError(f"received length {len(received)} != {self.n}")
         if not isinstance(received, bytes):
             received = vec_checked(received, self.code.base_field.order)
+        x = _from_bytes(received, "big")
+        if x & self._badbits:
+            raise RangeError("received symbol outside GF(%d)" % self.code.base_field.order)
+        # byte k of x | x >> 6 holds symbol k in its low two bits and symbol
+        # k - 1 above them: every second byte is the code of one pair
         acc = 0
-        try:
-            for per_sym, sym in zip(self._contrib, received):
-                if sym:
-                    acc ^= per_sym[sym]
-        except IndexError:
-            raise RangeError("received symbol outside GF(%d)"
-                             % self.code.base_field.order) from None
+        for table, c in zip(self._pairs, (x | x >> 6).to_bytes(self._nbytes, "big")[1::2]):
+            acc ^= table[c]
         if not acc:
             return _new(HammingDecodeResult, (received, self._zero, SUCCESS, False))
         hit = self._single.get(acc)
@@ -155,7 +180,7 @@ class _AlgebraicDecoder:
         i, s = hit
         n = self.n
         err = s << 8 * (n - 1 - i)
-        cw = (int.from_bytes(received, "big") ^ err).to_bytes(n, "big")
+        cw = (x ^ err).to_bytes(n, "big")
         return _new(HammingDecodeResult, (cw, err.to_bytes(n, "big"), SUCCESS, False))
 
     def _finish(self, received, acc, positions, omega, sigma, zero):
@@ -207,7 +232,10 @@ class _AlgebraicDecoder:
             return _GUARD_TRIPPED
         return _new(HammingDecodeResult, (bytes(cand), bytes(err), SUCCESS, False))
 
-    def _decode_syndrome(self, acc, received):
+    def _decode_syndrome(self, acc, received, stop=True):
+        """The candidate of the key equation for the packed syndrome `acc`,
+        or a failure.  Berlekamp-Massey stops early only with `stop`, and
+        a failure on a register that stopped early reruns it without."""
         syn = acc & self._synmask
         if not syn:
             return _FAILED
@@ -220,12 +248,17 @@ class _AlgebraicDecoder:
 
         # Berlekamp-Massey (field ops inlined on the exp/log tables); each
         # update x^shift * prev has degree at most the new register length,
-        # which never exceeds nsyn, so sigma keeps nsyn + 1 slots
+        # which never exceeds nsyn, so sigma keeps nsyn + 1 slots.  It may
+        # stop after two zero discrepancies in a row once 2L <= r + 1, before
+        # the last syndrome (see the module docstring).
         sigma = [1] + [0] * nsyn
         prev = [1]
         L = 0
         shift = 1
         lb = 0  # log of the previous discrepancy
+        last = nsyn - 1 if stop else 0  # an early stop needs r < last
+        zr = -2  # the step of the last zero discrepancy
+        stopped = False
         for r in range(nsyn):
             d = S[r]
             for j in range(1, L + 1):
@@ -233,6 +266,10 @@ class _AlgebraicDecoder:
                 if sj and S[r - j]:
                     d ^= exp[(log[sj] + LS[r - j]) % om1]
             if not d:
+                if zr == r - 1 and r < last and 2 * L <= r + 1:
+                    stopped = True
+                    break
+                zr = r
                 shift += 1
                 continue
             lco = log[d] - lb
@@ -254,38 +291,42 @@ class _AlgebraicDecoder:
         # an error at the locator 0 lengthens the register by one without a
         # factor of sigma
         zero = lfsr == L + 1 and self._zero_at is not None
-        if not 0 < L + zero <= self.radius:
-            return _FAILED
 
         # the locators X_i are the roots of x^L sigma(1/x); a degree-L
         # polynomial has at most L roots
-        position = self._position
-        if L == 1:
-            positions = [position.get(sigma[1])]
-            if positions[0] is None:
-                return _FAILED
+        if not 0 < L + zero <= self.radius:
+            positions = None
+        elif L == 1:
+            i = self._position.get(sigma[1])
+            positions = None if i is None else [i]
         elif L == 2:
             positions = self._quadratic_roots(1, sigma[1], sigma[2])
-            if positions is None:
-                return _FAILED
         else:
             positions = self._roots(sigma)
             if len(positions) != L:
-                return _FAILED
+                positions = None
 
-        # omega = sigma * S mod x^nsyn; sigma generates S_0..S_{nsyn-1} as a
-        # shift register of length lfsr, so only the terms below x^lfsr can
-        # be nonzero
-        omega = None
-        if not self._binary:
-            omega = [0] * lfsr
-            for i, a in enumerate(sigma):
-                if a:
-                    la = log[a]
-                    for j in range(lfsr - i):
-                        if S[j]:
-                            omega[i + j] ^= exp[(la + LS[j]) % om1]
-        return self._finish(received, acc, positions, omega, sigma, zero)
+        if positions is None:
+            res = _FAILED
+        else:
+            # omega = sigma * S mod x^nsyn; where sigma generates
+            # S_0..S_{nsyn-1} as a shift register of length lfsr, only the
+            # terms below x^lfsr can be nonzero
+            omega = None
+            if not self._binary:
+                omega = [0] * lfsr
+                for i, a in enumerate(sigma):
+                    if a:
+                        la = log[a]
+                        for j in range(lfsr - i):
+                            if S[j]:
+                                omega[i + j] ^= exp[(la + LS[j]) % om1]
+            res = self._finish(received, acc, positions, omega, sigma, zero)
+        if stopped and res[2] is not SUCCESS:
+            # the register that stopped early may be short of the full one,
+            # which decides every failure
+            return self._decode_syndrome(acc, received, False)
+        return res
 
     def _quadratic_roots(self, a0, a1, a2):
         """Positions i < j whose p_i, p_j are the two roots of a0 + a1 x +

@@ -173,6 +173,26 @@ def test_distance_claims_above_singleton_are_refused(tmp_path):
     assert (rc, out) == (1, "") and "dexact 9 exceeds the Singleton bound n - k + 1 = 3" in err
 
 
+def test_construction_distance_claims_are_the_constructions(tmp_path):
+    # a bch or goppa file's distance comes from its construction: a dexact
+    # below that bound, or a dmin line other than the construction's, is
+    # refused rather than loaded as stated or silently replaced
+    for name, code in (("bch", bch_build(15, (1, 6))), ("goppa", _goppa32())):
+        text, d, tag = dump_code(code), code.d_designed, code.d_tag
+        assert load_code(text + f"dexact {d}\n").d_lower == d
+        assert load_code(text.replace(f"dmin {d} {tag}\n", "")).d_lower == d
+        for bad, claim in ((text + "dexact 2\n", f"dexact 2 is below the {name} bound {d}"),
+                           (_with_line(text, "dmin", "dmin 3 declared"),
+                            f"dmin 3 declared differs from the {name} construction's {d} {tag}"),
+                           (_with_line(text, "dmin", f"dmin {d} declared"), f"dmin {d} declared")):
+            with pytest.raises(ConstructionError, match=f"^{claim}"):
+                load_code(bad)
+    bad = tmp_path / "bch.code"
+    bad.write_text(dump_code(bch_build(15, (1, 6))) + "dexact 2\n")
+    rc, out, err = run_cli("build-sr", "--c1", str(bad), "--c2", str(bad))
+    assert (rc, out) == (1, "") and "dexact 2 is below the bch bound 6" in err
+
+
 @functools.lru_cache(maxsize=None)
 def _loader_inputs():
     """(loader, valid file text) pairs for the fuzz test to mutate."""

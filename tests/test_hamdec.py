@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from srcodes.errors import BudgetError, ConfigError, RangeError
 from srcodes.gf2m import GF2, GF4, build_field, poly_eval, poly_mul
 from srcodes.codes import (
+    DEFAULT_BUDGET,
     DefiningSet,
     LinearCode,
     bch_build,
@@ -305,25 +306,50 @@ def test_berlekamp_massey_finds_the_locator_polynomial(name, data):
         sorted(errors - {dec._zero_at}), sigma, zero)
 
 
-def test_decoders_reject_symbols_outside_the_alphabet(bch15, bch15_dec):
-    for bad in (bytes([4]) + bytes(14), [-1] + [0] * 14):
-        with pytest.raises(RangeError):
-            bch15_dec.decode(bad)
-    F = build_field(5)
-    code = goppa_build(F, list(F.elements()), find_irreducible(F, 3, seed=1), base=GF2)
-    for bad in (bytes([2]) + bytes(31), [-1] + [0] * 31):
-        with pytest.raises(RangeError):
-            GoppaDecoder(code).decode(bad)
-    # the oracle checks its input as the algebraic decoders do
-    oracle = OracleDecoder(bch15, radius=2)
-    for decode in (oracle.decode, lambda w: oracle_decode(bch15, w)):
-        for bad in (bytes([7]) + bytes(14), [300] + [0] * 14, [-1] + [0] * 14):
+def _alphabet_cases():
+    F5, F8 = build_field(5), build_field(8)
+    bch15 = bch_build(15, (1, 6))
+    goppa256 = goppa_build(F8, None, find_irreducible(F8, 4, seed=1), base=GF4)
+    binary32 = goppa_build(F5, list(F5.elements()), find_irreducible(F5, 3, seed=1), base=GF2)
+    # (code, position, bad symbols); positions pair up from the front, with
+    # a zero symbol in front of an odd n
+    return {
+        "bch15_even": (bch15, 6, (4, 64, 255)),
+        "bch15_odd": (bch15, 9, (4, 64, 255)),
+        "bch15_last": (bch15, 14, (4, 128, 252)),
+        "goppa256_even": (goppa256, 0, (4, 64, 255)),
+        "goppa256_odd": (goppa256, 131, (4, 64, 255)),
+        "goppa256_last": (goppa256, 255, (4, 128, 252)),
+        "binary_goppa_2": (binary32, 17, (2,)),
+        "binary_goppa_3": (binary32, 30, (3,)),
+    }
+
+
+ALPHABET_CASES = _alphabet_cases()
+
+
+@pytest.mark.parametrize("name", sorted(ALPHABET_CASES))
+def test_decoders_reject_symbols_outside_the_alphabet(name):
+    # a symbol is read from the low bits of its byte, so without the check
+    # the pair (0, 4) would read as (1, 0): a single error, decoded
+    code, pos, bads = ALPHABET_CASES[name]
+    dec = make_decoder(code)
+    decoders = [dec.decode]
+    if code.size() <= DEFAULT_BUDGET:
+        # the oracle checks its input as the algebraic decoders do
+        oracle = OracleDecoder(code, radius=dec.radius)
+        decoders += [oracle.decode, lambda w: oracle_decode(code, w)]
+    cw = code.encode([(3 * j + 1) % code.base_field.order for j in range(code.k)])
+    for decode in decoders:
+        for bad in bads + (300, -1):
+            word = list(cw)
+            word[pos] = bad
+            if 0 <= bad < 256:
+                word = bytes(word)
             with pytest.raises(RangeError):
-                decode(bad)
+                decode(word)
         with pytest.raises(ConfigError):
             decode(bytes(3))
-    with pytest.raises(RangeError):
-        OracleDecoder(code, radius=3).decode(bytes([2]) + bytes(31))
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
@@ -455,6 +481,74 @@ def test_goppa_errors_at_the_locator_0_decode(name):
             for vals in itertools.product(range(1, q), repeat=w + 1):
                 rec, e = _add_error(cw, (z,) + pos, vals)
                 assert dec.decode(rec) == bare.decode(rec) == (cw, e, "success", False)
+
+
+def _syndrome_probe(dec):
+    # a copy of the decoder that hands back the packed syndrome of a word
+    # outside the code, in place of decoding it
+    probe = copy.copy(dec)
+    probe._single = {}
+    probe._decode_syndrome = lambda acc, received: acc
+    return probe
+
+
+SYNDROME_PROBES = {
+    "bch15": _syndrome_probe(BCH_SCAN_CASES["15_delta8"][0]),
+    "bch25_gf2_20": _syndrome_probe(BCH_SCAN_CASES["25_2_20"][0]),
+    "bch63": _syndrome_probe(BCH_SCAN_CASES["63_delta16"][0]),
+    "bch255": _syndrome_probe(BCH_SCAN_CASES["255_delta32"][0]),
+    "goppa_binary64": _syndrome_probe(ROOT_SCAN_CASES["binary64"][0]),
+    "goppa_quaternary12": _syndrome_probe(LOOKUP_CASES["goppa_quaternary12"][0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYNDROME_PROBES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_pair_table_syndrome_is_the_sum_of_symbol_contributions(name, data):
+    # the decoder reads each pair of positions, with a zero symbol in front
+    # when n is odd, from one table; reference: one contribution per symbol
+    probe = SYNDROME_PROBES[name]
+    n, q = probe.n, probe.code.base_field.order
+    word = bytes(b % q for b in data.draw(st.binary(min_size=n, max_size=n)))
+    want = 0
+    for per_sym, s in zip(probe._contrib, word):
+        want ^= per_sym[s]
+    assert probe.decode(word) == (want or (word, bytes(n), "success", False))
+
+
+def test_early_stopped_berlekamp_massey_decodes_as_the_full_run():
+    # BM stops after two zero discrepancies in a row once 2L <= r + 1.  A
+    # success on that register stands, as the guard proves it; any other
+    # outcome reruns the key equation with the stop off.  Reference: copies
+    # of the decoders that always run it with the stop off.  Words: random
+    # ones, and codewords plus 0..radius+3 errors.
+    F = build_field(6)
+    rng = np.random.default_rng(23)
+    for code in (bch_build(15, (1, 8)),  # GF(2^4), radius 4
+                 goppa_build(F, None, find_irreducible(F, 8, seed=1), base=GF4)):  # the locator 0
+        dec = make_decoder(code)
+        key_equation = type(dec)._decode_syndrome
+        counted, full = copy.copy(dec), copy.copy(dec)
+        stops = []  # the stop argument of each key-equation run of `counted`
+
+        def count(acc, received, stop=True):
+            stops.append(stop)
+            return key_equation(counted, acc, received, stop)
+
+        counted._decode_syndrome = count
+        full._decode_syndrome = lambda acc, received: key_equation(full, acc, received, False)
+        n, t = code.n, dec.radius
+        for k in range(2000):
+            if k % 2:
+                rec = bytes(rng.integers(0, 4, size=n).tolist())
+            else:
+                cw = code.encode(rng.integers(0, 4, size=code.k).tolist())
+                wt = int(rng.integers(0, t + 4))
+                rec, _ = _add_error(cw, rng.choice(n, size=wt, replace=False),
+                                    rng.integers(1, 4, size=wt))
+            assert counted.decode(rec) == full.decode(rec)
+        assert False in stops, "no rerun"
 
 
 def test_bch_block25_decoding_offset_run():
