@@ -403,8 +403,11 @@ def cmd_bounds(args):
         start, stop, step = (float(t) for t in args.delta_grid.split(":"))
     except ValueError:
         raise RangeError("--delta-grid expects start:stop:step")
-    if start < 0 or stop >= 0.25 or step <= 0:
-        raise RangeError("delta grid must stay inside [0, 0.25)")
+    if not (start >= 0 and stop < 0.25 and step > 0):  # NaN fails every comparison
+        raise RangeError("--delta-grid must stay inside [0, 0.25) with a positive step")
+    if (stop - start) / step >= 10 ** 6:
+        raise BudgetError(f"--delta-grid asks for {(stop - start) / step + 1:.3g} rows; "
+                          "the limit is 10^6")
     rows = []
     d = start
     while d <= stop + 1e-12:

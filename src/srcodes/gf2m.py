@@ -542,10 +542,10 @@ def vec_scale(v, s):
 
 
 def vec_checked(symbols, q):
-    """The symbols as a byte vector, read one by one (bytes() of a numpy
-    array would copy its raw buffer); RangeError for a symbol outside GF(q)."""
+    """The symbols as bytes; bytes are taken whole, anything else one by one (bytes()
+    of a numpy array would copy its raw buffer).  RangeError outside GF(q)."""
     try:
-        out = bytes(list(symbols))
+        out = bytes(symbols if isinstance(symbols, (bytes, bytearray)) else list(symbols))
     except (TypeError, ValueError):  # a symbol outside 0..255, or not an integer
         out = None
     if out is None or out.translate(None, bytes(range(q))):

@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional, Tuple
 from .errors import ConfigError, RangeError
 from .gf2m import SCALE4, vec_checked, vec_scale, vec_xor
 from .codes import DEFAULT_BUDGET
-from .sumrank import SrWord, sr_sweep, sr_zero
+from .sumrank import SrWord, sr_sweep
 
 _BETA_SQ = {1: 1, 2: 3, 3: 2}
 _ONES = {}  # n -> the integer with bit 0 of each of n bytes set
@@ -205,14 +205,18 @@ def sample_error(length, w, rng):
         raise RangeError(f"target weight {w} outside [0, {2 * length}]")
     import numpy as np
 
-    rng = np.random.default_rng(rng)  # a Generator comes back unchanged
+    e0, e1 = _draw_error(length, w, np.random.default_rng(rng))  # a Generator comes back unchanged
+    return SrWord(bytes(e0), bytes(e1))
+
+
+def _draw_error(length, w, rng):
+    """sample_error's two error vectors, as bytearrays, drawn from the Generator rng."""
+    e0, e1 = bytearray(length), bytearray(length)
     if w == 0:
-        return sr_zero(length)
+        return e0, e1
     profiles = error_profiles(length, w)  # cached: simulate asks per trial
     i1, i2, i3 = profiles[rng.integers(len(profiles))]
     positions = rng.choice(length, size=i1 + i2 + i3, replace=False).tolist()
-    e0 = bytearray(length)
-    e1 = bytearray(length)
     # values in order: i1 for e0, i2 for e1, then an (e0, e1) pair per i3
     vals = rng.integers(1, 4, size=i1 + i2 + 2 * i3).tolist()
     for p, v in zip(positions[:i1], vals):
@@ -223,7 +227,7 @@ def sample_error(length, w, rng):
     for p, v0, v1 in zip(positions[i1 + i2:], pairs[0::2], pairs[1::2]):
         e0[p] = v0
         e1[p] = v1
-    return SrWord(bytes(e0), bytes(e1))
+    return e0, e1
 
 
 def min_branch_weight(e0, e1):
@@ -265,27 +269,29 @@ def simulate(code, dec1, dec2, weights, trials, seed=0, d_sr=None, jobs=1):
 
     rows = []
     for w in weights:
-        tally = {"weight": w, "trials": trials, "success": 0, "failure": 0,
-                 "ambiguous": 0, "miscorrections": 0, "mean_decode_micros": 0.0,
-                 "dec1_calls_max": 0, "dec2_calls_max": 0}
+        success = failure = ambiguous = miscorrections = dec1_max = dec2_max = 0
         total_us = 0.0
         for t in range(trials):
             rng = np.random.default_rng((seed, w, t))
-            sent = code.encode(rng.integers(0, 2, size=code.f2_dimension).tolist())
-            received = sent + sample_error(code.n, w, rng)
+            bits = rng.integers(0, 2, size=code.f2_dimension)  # int64: uint8 draws another stream
+            sent = code.encode(bits.astype(np.uint8).tobytes())
+            e0, e1 = _draw_error(code.n, w, rng)
+            received = (vec_xor(sent[0], e0), vec_xor(sent[1], e1))
             t0 = time.perf_counter()
             res = _sr_decode(dec1, dec2, received, radius)
             total_us += (time.perf_counter() - t0) * 1e6
-            tally["dec1_calls_max"] = max(tally["dec1_calls_max"], res.dec1_calls)
-            tally["dec2_calls_max"] = max(tally["dec2_calls_max"], res.dec2_calls)
+            dec1_max = max(dec1_max, res.dec1_calls)
+            dec2_max = max(dec2_max, res.dec2_calls)
             if res.ok and res.codeword == sent:
-                tally["success"] += 1
+                success += 1
             elif res.status == STATUS_AMBIGUOUS:
-                tally["ambiguous"] += 1
+                ambiguous += 1
             else:
-                tally["failure"] += 1
+                failure += 1
                 if res.ok:
-                    tally["miscorrections"] += 1
-        tally["mean_decode_micros"] = total_us / max(trials, 1)
-        rows.append(tally)
+                    miscorrections += 1
+        rows.append({"weight": w, "trials": trials, "success": success, "failure": failure,
+                     "ambiguous": ambiguous, "miscorrections": miscorrections,
+                     "mean_decode_micros": total_us / max(trials, 1),
+                     "dec1_calls_max": dec1_max, "dec2_calls_max": dec2_max})
     return rows

@@ -163,8 +163,8 @@ class SumRankCode:
         return d is not None and d == self.d_sr_lower
 
     def split_message(self, bits):
-        """The C1 and C2 parts of a message; the components check the bits."""
-        bits = list(bits)
+        """The C1 and C2 parts of a message, as bytes; RangeError for a bad bit or length."""
+        bits = vec_checked(bits, 2)
         if len(bits) != self.f2_dimension:
             raise RangeError(
                 f"message length {len(bits)} != F2 dimension {self.f2_dimension}")

@@ -451,6 +451,9 @@ PAIR = ("--c1", "{c1}", "--c2", "{c2}")
     (("build-bch", "--n", "15", "--delta", "3", "--out", "."), None, "--out: Is a directory"),
     (("encode", *PAIR, "--message", "0" * 34, "--out", "{c1}.d/w.word"), None,
      "--out: No such file"),
+    (("bounds", "--delta-grid", "0.1:0.3:0.05"), None, "--delta-grid"),
+    (("bounds", "--delta-grid", "nan:0.2:0.1"), None, "--delta-grid"),
+    (("bounds", "--delta-grid", "0:0.2:nan"), None, "--delta-grid"),
 ], ids=["weights_word", "weights_empty", "weights_negative", "seed_negative",
         "env_seed", "message_hex", "cosets_word", "d_sr_negative", "d_sr_too_large",
         "decode_d_sr_too_large", "trials_negative", "simulate_budget_negative",
@@ -460,7 +463,8 @@ PAIR = ("--c1", "{c1}", "--c2", "{c2}")
         "goppa_seed_negative", "simulate_jobs_removed", "bch_both_forms", "bch_neither_form",
         "delta_one", "delta_negative", "ext_degree_zero", "ext_degree_too_large",
         "mindist_code_and_pair", "c1_directory", "c2_missing", "word_directory",
-        "word_missing", "mindist_code_directory", "out_directory", "out_missing_dir"])
+        "word_missing", "mindist_code_directory", "out_directory", "out_missing_dir",
+        "delta_grid_outside", "delta_grid_nan_start", "delta_grid_nan_step"])
 def test_cmd_usage_errors_exit_2(tmp_path, argv, env, flag):
     c1 = tmp_path / "c1.code"
     c2 = tmp_path / "c2.code"
@@ -548,6 +552,13 @@ def test_cmd_mindist_budget_exit(tmp_path):
     run_cli("build-bch", "--n", "63", "--cosets", "0,1,2,3,5", "--out", str(big))
     rc, _, _ = run_cli("mindist", "--code", str(big))
     assert rc == 3
+
+
+@pytest.mark.parametrize("grid", ["0:0.2:1e-12", "0:0.24:1e-7"])
+def test_cmd_bounds_grid_budget_exit(grid):
+    # the row count is checked before the loop; 0:0.2:1e-12 would be 2e11 rows
+    rc, out, err = run_cli("bounds", "--delta-grid", grid)
+    assert (rc, out) == (3, "") and "--delta-grid" in err and "10^6" in err
 
 
 def test_cmd_build_goppa_degree_one(tmp_path):

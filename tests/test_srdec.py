@@ -614,6 +614,52 @@ def test_simulate_golden_rows(pair15):
     ]
 
 
+def _reference_rows(code, dec1, dec2, weights, trials, seed):
+    """simulate's rows, mean_decode_micros left out, from public pieces."""
+    rows = []
+    for w in weights:
+        row = {"weight": w, "trials": trials, "success": 0, "failure": 0, "ambiguous": 0,
+               "miscorrections": 0, "dec1_calls_max": 0, "dec2_calls_max": 0}
+        for t in range(trials):
+            rng = np.random.default_rng((seed, w, t))
+            sent = code.encode(rng.integers(0, 2, size=code.f2_dimension).tolist())
+            res = sr_decode(code, dec1, dec2, sent + sample_error(code.n, w, rng))
+            row["dec1_calls_max"] = max(row["dec1_calls_max"], res.dec1_calls)
+            row["dec2_calls_max"] = max(row["dec2_calls_max"], res.dec2_calls)
+            if res.ok and res.codeword == sent:
+                row["success"] += 1
+            elif res.status == STATUS_AMBIGUOUS:
+                row["ambiguous"] += 1
+            else:
+                row["failure"] += 1
+                row["miscorrections"] += res.ok
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("name, weights", [
+    ("bch15", [0, 1, 2, 6]),           # radius 2; one miscorrection at weight 6
+    ("goppa64", [0, 3, 7]),            # radius 3, over GF(2^6)
+    ("rep4-mds", [0, 1, 3, 5]),        # radius 1, oracle component decoders
+])
+def test_simulate_matches_a_trial_loop_of_public_calls(name, weights):
+    # the tallies of a bounded-distance decoder hardly depend on the message,
+    # so the words each component decoder is given are compared too; repr
+    # compares the key order, which the equivalence digests hash
+    cases = {**VERIFY_CASES, **ORACLE_CASES}
+    code, dec1, dec2 = cases[name][:3]
+    logs = hashlib.md5(), hashlib.md5()
+    rows = simulate(code, _Recording(dec1, logs[0]), _Recording(dec2, logs[0]), weights, 30,
+                    seed=9)
+    for row in rows:
+        del row["mean_decode_micros"]
+    reference = _reference_rows(code, _Recording(dec1, logs[1]), _Recording(dec2, logs[1]),
+                                weights, 30, seed=9)
+    assert repr(rows) == repr(reference)
+    assert logs[0].hexdigest() == logs[1].hexdigest()
+    assert rows[-1]["success"] < 30 and rows[0]["success"] == 30
+
+
 def test_block25_pair_decodes_at_declared_distance(pair25):
     # true distance is 30 but d1 = 25 only supports a declared target of 25;
     # the decoder still corrects all 12 = floor((25-1)/2) sum-rank errors

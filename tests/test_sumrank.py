@@ -197,6 +197,23 @@ def test_sr_encode_properties():
             code.encode([bad] + [0] * (code.f2_dimension - 1))
 
 
+def test_sr_encode_input_forms():
+    # bytes and bytearrays are taken whole; a list or numpy array is read
+    # value by value, so a uint16 array is not mistaken for its raw buffer
+    code = sr_construct(bch_build(15, (1, 6)), bch_build(15, DefiningSet.from_cosets(15, [5, 6])))
+    k = code.f2_dimension
+    bits = np.random.default_rng(4).integers(0, 2, size=k)
+    word = code.encode(bits.tolist())
+    assert word != sr_zero(15)
+    for form in (bytes(bits.tolist()), bytearray(bits.tolist()), bits, bits.astype(np.uint16)):
+        assert code.encode(form) == word
+    for bad in (b"\x02" + bytes(k - 1), bytearray(b"\x02" + bytes(k - 1)), b"\x02",
+                bytes(k - 1), bytes(k + 1), [-1] + [0] * (k - 1), [256] + [0] * (k - 1),
+                np.array([256] + [0] * (k - 1), dtype=np.uint16)):
+        with pytest.raises(RangeError):
+            code.encode(bad)
+
+
 def test_sr_min_distance_block25():
     c1 = bch_build(25, DefiningSet(25, range(1, 25)))
     c2 = bch_build(25, DefiningSet.from_cosets(25, [0, 1, 2, 5]))
