@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 
 import numpy as np
@@ -12,6 +13,7 @@ from srcodes.codes import (
     LinearCode,
     additive_build,
     bch_build,
+    goppa_pair_dimension,
 )
 from srcodes.sumrank import (
     SrWord,
@@ -334,6 +336,16 @@ def test_zero_component_has_no_decodable_distance():
         assert not code.decoder_ready and not code.decoder_ready_for(1)
         with pytest.raises(ConfigError):
             sr_decode(code, dec, dec, sr_zero(15))
+
+
+def test_goppa_pair_dimension_grid_golden():
+    # every plan for m = 2..8, d_sr = 1..2^(m+1)+2 (1,030 rows), pinned
+    # before goppa_pair_dimension moved from codes to sumrank; running it on
+    # to m = 10 gives 0166d45495361d1835833c50f349ef26 but takes ~17 s
+    rows = [(m, d, goppa_pair_dimension(m, d))
+            for m in range(2, 9) for d in range(1, 2 ** (m + 1) + 3)]
+    assert len(rows) == 1030
+    assert hashlib.md5(repr(rows).encode()).hexdigest() == "795618ee468152ae95758dffd19bd259"
 
 
 def test_sr_budget():
