@@ -35,7 +35,6 @@ from .codes import (
     cyclotomic_coset,
     find_irreducible,
     goppa_build,
-    goppa_pair_dimension,
     min_distance_bruteforce,
 )
 from .hamdec import (
@@ -51,6 +50,7 @@ from .sumrank import (
     SumRankCode,
     decodable_gv_rate,
     entropy_q,
+    goppa_pair_dimension,
     gv_rate,
     lin_to_matrix,
     mat2_rank,

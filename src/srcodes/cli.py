@@ -42,7 +42,6 @@ from .codes import (
     cyclotomic_coset,
     find_irreducible,
     goppa_build,
-    goppa_pair_dimension,
     min_distance_bruteforce,
 )
 from .hamdec import make_decoder
@@ -50,6 +49,7 @@ from .sumrank import (
     SrWord,
     decodable_gv_rate,
     entropy_q,
+    goppa_pair_dimension,
     gv_rate,
     singleton_bound,
     sr_construct,
@@ -151,12 +151,12 @@ def dump_code(code):
     lines.append(f"dmin {code.d_designed} {code.d_tag}")
     if code.d_exact is not None:
         lines.append(f"dexact {code.d_exact}")
-    info = getattr(code, "bch_info", None)
+    info = code.bch_info
     if info is not None:
         leaders = sorted({min(cyclotomic_coset(j, 4, code.n))
                           for j in info.defining_set.exponents})
         lines.append("construction bch %d %s" % (code.n, ",".join(map(str, leaders))))
-    ginfo = getattr(code, "goppa_info", None)
+    ginfo = code.goppa_info
     if ginfo is not None:
         base = "gf2" if ginfo.base_order == 2 else "gf4"
         f = ginfo.field
@@ -350,12 +350,20 @@ def cmd_build_bch(args):
 def cmd_build_goppa(args):
     base = GF2 if args.base == "gf2" else GF4
     field = build_field(args.ext_degree)
-    gpoly = find_irreducible(field, args.degree, seed=args.seed)
-    # G's roots are no locators; an irreducible G of degree >= 2 has none
-    locators = [a for a in field.elements() if poly_eval(field, gpoly, a)]
-    if args.length and args.length > len(locators):
-        raise RangeError(f"--length {args.length} exceeds the {len(locators)} elements of "
+    # G's roots are no locators; an irreducible G of degree >= 2 has none,
+    # one of degree 1 has one
+    available = field.order - (args.degree == 1)
+    if args.length and args.length > available:
+        raise RangeError(f"--length {args.length} exceeds the {available} elements of "
                          f"GF(2^{field.m}) that are not roots of G")
+    # refused before the search: a nonzero code has distance at most n, and
+    # an irreducible G is separable
+    n = args.length or available
+    if (2 * args.degree + 1 if base is GF2 else args.degree + 1) > n:
+        raise ConstructionError(
+            f"the Goppa code of degree {args.degree} on {n} locators is the zero code")
+    gpoly = find_irreducible(field, args.degree, seed=args.seed)
+    locators = [a for a in field.elements() if poly_eval(field, gpoly, a)]
     locators = locators[:args.length or None]   # --length 0 keeps them all
     code = goppa_build(field, locators, gpoly, base=base)
     write_code_file(code, args.out)

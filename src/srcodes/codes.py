@@ -190,6 +190,8 @@ class _Code:
     certified minimum distance once one has been computed.
     """
 
+    bch_info = goppa_info = None  # set by bch_build and goppa_build
+
     def __init__(self, d_lower, d_tag):
         self.d_designed = d_lower
         self.d_tag = d_tag
@@ -217,12 +219,16 @@ class _Code:
 
 
 class LinearCode(_Code):
-    """A linear [n, k] code over GF(2) or GF(4)."""
+    """A linear [n, k] code over GF(2) or GF(4).
+
+    Without parity rows, the generator rows must be independent and the
+    parity matrix is their kernel; parity rows passed in are trusted.
+    """
 
     kind = "linear"
 
     def __init__(self, base_field, generator_rows, parity_rows=None,
-                 d_lower=1, d_tag="declared", check=True):
+                 d_lower=1, d_tag="declared"):
         self.base_field = base_field
         rows = [bytes(r) for r in generator_rows]
         if rows:
@@ -235,20 +241,12 @@ class LinearCode(_Code):
             self.n = len(parity_rows[0])
         self.k = len(rows)
         self.generator_matrix = tuple(rows)
-        if (check and rows) or parity_rows is None:
+        if parity_rows is None:
             reduced, pivots = rref(base_field, rows)
-            if check and len(pivots) != self.k:
+            if len(pivots) != self.k:
                 raise ConstructionError("generator rows are linearly dependent")
-            if parity_rows is None:
-                parity_rows = nullspace(reduced, pivots, self.n)
+            parity_rows = nullspace(reduced, pivots, self.n)
         self.parity_matrix = tuple(bytes(r) for r in parity_rows)
-        if check:
-            gen = self.generator_matrix
-            sample = gen if len(gen) * len(self.parity_matrix) <= 4096 else gen[:3]
-            if any(any(self.syndrome(g)) for g in sample):
-                raise ConstructionError("generator/parity matrices inconsistent")
-        self.bch_info = None
-        self.goppa_info = None
         super().__init__(d_lower, d_tag)
 
     # -- basic operations --------------------------------------------------
@@ -297,6 +295,7 @@ class AdditiveCode(_Code):
     """
 
     kind = "additive"
+    base_field = GF4
 
     def __init__(self, n, f2_generators, d_lower=1, d_tag="declared", dropped=0):
         self.n = n
@@ -306,10 +305,6 @@ class AdditiveCode(_Code):
         self._echelon = []
         for v in self._packed:
             gf2_insert(self._echelon, v)
-
-    @property
-    def base_field(self):
-        return GF4
 
     @property
     def k(self):
@@ -431,7 +426,7 @@ def bch_build(n, spec):
 
     b_run, run = longest_cyclic_run(exps, n)
     code = LinearCode(GF4, gen_rows, parity_rows=par_rows,
-                      d_lower=run + 1, d_tag="bch-bound", check=False)
+                      d_lower=run + 1, d_tag="bch-bound")
     code.bch_info = BchInfo(h, field, alpha, b_run, run + 1, T)
     return code
 
@@ -467,11 +462,12 @@ def bch_dim_lower_bound(m, d1):
 # ----------------------------------------------------------------------
 
 class GoppaInfo:
-    def __init__(self, field, locators, gpoly, base_order):
+    def __init__(self, field, locators, gpoly, base_order, separable):
         self.field = field
         self.locators = tuple(locators)
         self.gpoly = tuple(gpoly)
         self.base_order = base_order
+        self.separable = separable  # gcd(G, G') = 1
 
 
 def goppa_build(field, locators, gpoly, base=GF2):
@@ -497,6 +493,14 @@ def goppa_build(field, locators, gpoly, base=GF2):
     if 0 in gvals:
         raise ConstructionError("a locator is a root of the Goppa polynomial")
     n = len(locators)
+    separable = poly_deg(poly_gcd(field, gpoly, poly_derivative(gpoly))) == 0
+    if base.order == 2 and separable:
+        d_lower, tag = 2 * r + 1, "separable-goppa-bound"
+    else:
+        d_lower, tag = r + 1, "goppa-bound"
+    zero_code = f"the Goppa code of degree {r} on {n} locators is the zero code"
+    if d_lower > n:  # a nonzero code has distance at most n
+        raise ConstructionError(zero_code)
 
     # row j holds a^j / G(a) at each locator a; each entry is written as its
     # m_rel coordinates over the base, one expanded row per coordinate
@@ -517,18 +521,10 @@ def goppa_build(field, locators, gpoly, base=GF2):
     if len(gen_rows) < n - m_rel * r:
         raise AssertionError("Goppa dimension fell below the n - m*deg(G) bound")
     if not gen_rows:
-        raise ConstructionError(f"the Goppa code of degree {r} on {n} locators is the zero code")
+        raise ConstructionError(zero_code)
 
-    separable = base.order == 2 and poly_deg(
-        poly_gcd(field, gpoly, poly_derivative(gpoly))) == 0
-    if separable:
-        d_lower, tag = 2 * r + 1, "separable-goppa-bound"
-    else:
-        d_lower, tag = r + 1, "goppa-bound"
-
-    code = LinearCode(base, gen_rows, parity_rows=parity_rows,
-                      d_lower=d_lower, d_tag=tag, check=False)
-    code.goppa_info = GoppaInfo(field, locators, gpoly, base.order)
+    code = LinearCode(base, gen_rows, parity_rows=parity_rows, d_lower=d_lower, d_tag=tag)
+    code.goppa_info = GoppaInfo(field, locators, gpoly, base.order, separable)
     return code
 
 
@@ -609,36 +605,6 @@ def _uniform_draws(seed, high):
             prod = word * high
             if prod & _M32 >= threshold:
                 yield prod >> 32
-
-
-def goppa_pair_dimension(m, d_sr):
-    """Best half-dimension at block length 2^m for a target distance, using
-    the binary irreducible Goppa family [2^m, 2^m - r*m, >= 2r+1] lifted to
-    its quaternary span, paired or used alone against the zero code.
-
-    Returns (dim_half, plan) where plan is ("pair", r1, r2) or ("single", r).
-    """
-    n = 1 << m
-    best = (0, None)
-    r = 1
-    while n - r * m >= 1:
-        k = n - r * m
-        if 2 * (2 * r + 1) >= d_sr and k > best[0]:
-            best = (k, ("single", r))
-        r += 1
-    r1 = 1
-    while n - r1 * m >= 1:
-        d1 = 2 * r1 + 1
-        k1 = n - r1 * m
-        r2 = 1
-        while n - r2 * m >= 1:
-            d2 = 2 * r2 + 1
-            k2 = n - r2 * m
-            if max(min(d1, 2 * d2), min(d2, 2 * d1)) >= d_sr and k1 + k2 > best[0]:
-                best = (k1 + k2, ("pair", r1, r2))
-            r2 += 1
-        r1 += 1
-    return best
 
 
 # ----------------------------------------------------------------------

@@ -326,41 +326,33 @@ def gf2_insert(rows, v, tag_bits=0):
 class Gf4Expansion:
     """Coordinate expansion of GF(2^(2h)) over the embedded GF(4).
 
-    Picks a greedy GF(4)-basis of the target field and reads the
-    coordinates of each bit 2^i off a tagged GF(2)-echelon of it.  The
-    coordinates are GF(2)-linear, so those of an element, a length-h vector
-    of GF(4) symbols, are the XOR of those of its set bits.
+    Coordinate t of an element a is Tr(x^t a), the trace down to GF(4),
+    with x = 2.  x generates the field over GF(2), so 1, x, ..., x^(h-1)
+    are a GF(4)-basis and the map is a GF(4)-linear bijection onto GF(4)^h.
+    It is GF(2)-linear too, so the coordinates of an element, one symbol per
+    byte, are the XOR of those of its set bits.
     """
 
     def __init__(self, target):
         if target.m % 2 != 0:
             raise EmbedError(f"GF(4) does not embed in GF(2^{target.m})")
-        m = target.m
-        self.h = h = m // 2
-        w_img = gf4_embedding(target)[2]
-        basis = []
-        span_rows = []  # GF(2)-echelon of the b_j and w*b_j, tagged 2^j and 2^(h+j)
-        for cand in range(1, target.order):
-            j = len(basis)
-            saved = list(span_rows)
-            if (gf2_insert(span_rows, cand << m | 1 << j, m)
-                    and gf2_insert(span_rows, target.mul(w_img, cand) << m | 1 << (h + j), m)):
-                basis.append(cand)
-                if len(basis) == h:
-                    break
-            else:
-                span_rows[:] = saved
-        self.basis = tuple(basis)
-        # one symbol per byte; the rows span the field, so 2^i reduces to
-        # its tag alone
-        self._bit_coords = []
-        for i in range(m):
-            t = gf2_reduce(span_rows, 1 << (i + m))
-            self._bit_coords.append(
-                sum((t >> j & 1 | (t >> (h + j) & 1) << 1) << 8 * j for j in range(h)))
+        self.h = h = target.m // 2
+        symbol = {v: s for s, v in enumerate(gf4_embedding(target))}
+
+        def trace(a):  # a + a^4 + ... + a^(4^(h-1))
+            t = 0
+            for _ in range(h):
+                t ^= a
+                a = target.pow(a, 4)
+            return t
+
+        lam = [target.pow(2, t) for t in range(h)]
+        self._bit_coords = [
+            sum(symbol[trace(target.mul(x_t, 1 << i))] << 8 * t for t, x_t in enumerate(lam))
+            for i in range(target.m)]
 
     def coords(self, a):
-        """GF(4) coordinates of a target element, length h, basis order."""
+        """GF(4) coordinates of a target element, length h."""
         t = 0
         for c in self._bit_coords:
             if a & 1:

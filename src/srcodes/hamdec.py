@@ -59,8 +59,8 @@ syndrome once the other errors are taken out.
 from typing import NamedTuple, Optional
 
 from .errors import BudgetError, ConfigError, RangeError
-from .gf2m import (gf2_insert, gf2_reduce, gf4_embedding, poly_deg, poly_derivative,
-                   poly_eval, poly_gcd, poly_mul, vec_checked)
+from .gf2m import (gf2_insert, gf2_reduce, gf4_embedding, poly_deg, poly_eval, poly_mul,
+                   vec_checked)
 from .codes import DEFAULT_BUDGET, cyclotomic_coset, nearest_codeword
 
 SUCCESS = "success"
@@ -493,7 +493,7 @@ class GoppaDecoder(_AlgebraicDecoder):
         exp, log, om1 = F.exp, F.log, F.order - 1
         M = list(info.gpoly)
         binary = info.base_order == 2
-        if binary and poly_deg(poly_gcd(F, M, poly_derivative(M))) == 0:
+        if binary and info.separable:
             M = poly_mul(F, M, M)
         nsyn = poly_deg(M)
         self.locators = info.locators
@@ -589,6 +589,8 @@ class OracleDecoder:
             radius = self._max_radius
             if radius is None:
                 raise ConfigError("zero code cannot back a decoder")
+        elif radius < 0:
+            raise ConfigError(f"radius {radius} is negative")
         elif self._max_radius is not None and radius > self._max_radius:
             raise ConfigError(
                 f"radius {radius} exceeds floor((d-1)/2) = {self._max_radius}")
@@ -618,8 +620,8 @@ def oracle_decode(code, received, budget=DEFAULT_BUDGET):
 
 def make_decoder(code, budget=DEFAULT_BUDGET):
     """Pick the natural decoder for a code: BCH, Goppa, or the oracle."""
-    if getattr(code, "bch_info", None) is not None:
+    if code.bch_info is not None:
         return BchDecoder(code)
-    if getattr(code, "goppa_info", None) is not None:
+    if code.goppa_info is not None:
         return GoppaDecoder(code)
     return OracleDecoder(code, budget=budget)

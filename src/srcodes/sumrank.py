@@ -108,6 +108,14 @@ def sr_distance(u, v):
 # the SR(C1, C2) construction
 # ----------------------------------------------------------------------
 
+def _d_sr_bound(d1, d2):
+    """The construction bound on d_sr for component distances d1 and d2; a
+    zero component's None counts as infinite."""
+    d1 = math.inf if d1 is None else d1
+    d2 = math.inf if d2 is None else d2
+    return max(min(d1, 2 * d2), min(d2, 2 * d1))
+
+
 def _check_component(code, name):
     if code.base_field.order != 4:
         raise ConstructionError(f"{name} must be a quaternary code "
@@ -135,13 +143,8 @@ class SumRankCode:
 
     @property
     def d_sr_lower(self):
-        d1 = self.c1.d_lower
-        d2 = self.c2.d_lower
-        if d1 is None and d2 is None:
-            return None
-        d1 = math.inf if d1 is None else d1
-        d2 = math.inf if d2 is None else d2
-        return max(min(d1, 2 * d2), min(d2, 2 * d1))
+        d1, d2 = self.c1.d_lower, self.c2.d_lower
+        return None if d1 is None and d2 is None else _d_sr_bound(d1, d2)
 
     @property
     def d_sr_decodable(self):
@@ -188,6 +191,23 @@ class SumRankCode:
 def sr_construct(c1, c2):
     """Build SR(C1, C2); C1 feeds the x^2 slot, C2 the x slot."""
     return SumRankCode(c1, c2)
+
+
+def goppa_pair_dimension(m, d_sr):
+    """Best half-dimension at block length 2^m for a target distance, using
+    the binary irreducible Goppa family [2^m, 2^m - r*m, >= 2r+1] lifted to
+    its quaternary span, paired or used alone against the zero code.
+
+    Returns (dim_half, plan) where plan is ("pair", r1, r2) or ("single", r);
+    the first best plan, singles before pairs, wins.
+    """
+    n = 1 << m
+    family = [(r, n - r * m, 2 * r + 1) for r in range(1, (n - 1) // m + 1)]
+    plans = [(k, ("single", r), d, None) for r, k, d in family]
+    plans += [(k1 + k2, ("pair", r1, r2), d1, d2)
+              for r1, k1, d1 in family for r2, k2, d2 in family]
+    return max(((k, plan) for k, plan, d1, d2 in plans if _d_sr_bound(d1, d2) >= d_sr),
+               key=lambda best: best[0], default=(0, None))
 
 
 def sr_sweep(code, received, budget, exclude_zero=False):

@@ -487,6 +487,51 @@ def test_build_goppa_refuses_without_writing(tmp_path, argv, rc, needle):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (("--ext-degree", "8", "--degree", "256"), "degree 256 on 256 locators"),
+    (("--ext-degree", "3", "--degree", "200"), "degree 200 on 8 locators"),
+    (("--base", "gf4", "--ext-degree", "4", "--degree", "16"), "degree 16 on 16 locators"),
+    (("--ext-degree", "6", "--degree", "5", "--length", "10"), "degree 5 on 10 locators"),
+    (("--ext-degree", "4", "--degree", "1", "--length", "2"), "degree 1 on 2 locators"),
+], ids=["gf2_m8", "gf2_m3", "gf4", "gf2_length", "degree_one"])
+def test_build_goppa_refuses_a_zero_code_before_the_search(tmp_path, monkeypatch, capsys,
+                                                           argv, needle):
+    # the designed distance, 2r+1 over GF(2) and r+1 over GF(4), exceeds the
+    # n locators, so no irreducible G is searched for
+    def no_search(*args, **kwargs):
+        raise AssertionError("find_irreducible was called")
+
+    monkeypatch.setattr("srcodes.cli.find_irreducible", no_search)
+    out = tmp_path / "g.code"
+    assert main(["build-goppa", *argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and needle in captured.err and "is the zero code" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, wrote", [
+    (("--ext-degree", "3", "--degree", "1", "--length", "3"), "wrote [3,1,3]_2"),
+    (("--base", "gf4", "--ext-degree", "2", "--degree", "3"), "wrote [4,1,4]_4"),
+], ids=["gf2", "gf4"])
+def test_build_goppa_builds_at_the_distance_bound(tmp_path, capsys, argv, wrote):
+    # designed distance equal to n is not refused
+    out = tmp_path / "g.code"
+    assert main(["build-goppa", *argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith(wrote)
+    code = read_code_file(out)
+    assert code.d_designed == code.n
+
+
+def test_goppa_build_refuses_a_zero_code_before_the_expansion(monkeypatch):
+    field = build_field(4)
+    gpoly = find_irreducible(field, 8)
+    monkeypatch.setattr("srcodes.codes.gf4_expansion", None)  # never reached
+    with pytest.raises(ConstructionError, match="degree 8 on 16 locators is the zero code"):
+        goppa_build(field, None, gpoly, base=GF2)
+    with pytest.raises(ConstructionError, match="degree 8 on 8 locators is the zero code"):
+        goppa_build(field, range(8), gpoly, base=GF4)
+
+
 SHARED_FLAGS = ("--c1", "--c2", "--budget", "--pretty", "--d-sr")
 
 

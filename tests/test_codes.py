@@ -15,12 +15,12 @@ from srcodes.codes import (
     cyclotomic_coset,
     find_irreducible,
     goppa_build,
-    goppa_pair_dimension,
     longest_cyclic_run,
     min_distance_bruteforce,
     nullspace,
     rref,
 )
+from srcodes.sumrank import goppa_pair_dimension
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -222,16 +223,20 @@ def test_embed_rejects_odd_degree():
 
 
 def test_gf4_expansion_roundtrip():
+    # coords is a bijection onto GF(4)^h and GF(4)-linear:
+    # coords(img[s] a + b) = s coords(a) + coords(b)
+    rng = random.Random(5)
     for m in (2, 4, 6, 10):
         T = build_field(m)
         exp4 = gf4_expansion(T)
         img = gf4_embedding(T)
-        for e in T.elements():
-            coords = exp4.coords(e)
-            acc = 0
-            for sym, b in zip(coords, exp4.basis):
-                acc ^= T.mul(img[sym], b)
-            assert acc == e
+        coords = [exp4.coords(e) for e in T.elements()]
+        assert all(len(c) == m // 2 and max(c) < 4 for c in coords)
+        assert len(set(coords)) == T.order
+        for _ in range(300):
+            a, b, s = rng.randrange(T.order), rng.randrange(T.order), rng.randrange(4)
+            want = tuple(GF4.mul(s, x) ^ y for x, y in zip(coords[a], coords[b]))
+            assert coords[T.mul(img[s], a) ^ b] == want
 
 
 def test_poly_eea_first_step_returns_g():

@@ -656,8 +656,9 @@ def test_oracle_decoder_repetition():
 
 def test_oracle_radius_enforced():
     rep = LinearCode(GF4, [bytes([1, 1, 1])], d_lower=3, d_tag="declared")
-    with pytest.raises(ConfigError):
-        OracleDecoder(rep, radius=2)
+    for radius in (2, -1):
+        with pytest.raises(ConfigError):
+            OracleDecoder(rep, radius=radius)
 
 
 def test_oracle_budget():

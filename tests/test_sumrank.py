@@ -13,12 +13,12 @@ from srcodes.codes import (
     LinearCode,
     additive_build,
     bch_build,
-    goppa_pair_dimension,
 )
 from srcodes.sumrank import (
     SrWord,
     decodable_gv_rate,
     entropy_q,
+    goppa_pair_dimension,
     gv_rate,
     lin_to_matrix,
     mat2_rank,
