@@ -362,6 +362,11 @@ def cmd_build_goppa(args):
     if (2 * args.degree + 1 if base is GF2 else args.degree + 1) > n:
         raise ConstructionError(
             f"the Goppa code of degree {args.degree} on {n} locators is the zero code")
+    # the generator's k rows and the parity check's n - k hold n^2 symbols
+    # together; m = 12 (n = 4096) is the largest build measured (118 MB)
+    if n * n > 1 << 24:
+        raise BudgetError(f"a Goppa code on {n} locators holds {n}^2 = {n * n} matrix "
+                          "symbols; the limit is 2^24 (4096 locators)")
     gpoly = find_irreducible(field, args.degree, seed=args.seed)
     locators = [a for a in field.elements() if poly_eval(field, gpoly, a)]
     locators = locators[:args.length or None]   # --length 0 keeps them all

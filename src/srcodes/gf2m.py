@@ -149,7 +149,9 @@ class FieldContext:
 
     exp[i] = g^i for 0 <= i < 2^m - 1, log is its inverse and log[0] = -1.
     Both are lists of ints up to GF(2^15) and array('I')/array('i') from
-    GF(2^16) on: 8 MB at GF(2^20), against 76 MB as lists.  Immutable after
+    GF(2^16) on: 8 MB at GF(2^20), against 76 MB as lists.  Up to GF(2^8),
+    mul_rows[a][b] = a * b, one bytes object per a (74 KB at GF(2^8)); it
+    is None for the larger fields, whose rows would not fit.  Immutable after
     construction; safe to share across threads.  All element operations are
     pure functions of their arguments.
     """
@@ -171,6 +173,8 @@ class FieldContext:
         self.order = 1 << m
         self.generator = self._find_generator()
         self._build_tables()
+        # a bytes row holds elements below 256
+        self.mul_rows = _mul_rows(self.exp, self.log) if m <= 8 else None
 
     def _find_generator(self):
         n = self.order - 1
@@ -259,6 +263,19 @@ class FieldContext:
 
     def __repr__(self):
         return f"FieldContext(m={self.m}, modulus={self.modulus:#x})"
+
+
+def _mul_rows(exp, log):
+    """Rows of the products a * b in a field of at most 256 elements.
+
+    Row a translates the logs of b = 1, 2, ... through the window of the
+    repeated exp table that starts at log a, so a * b = exp[log a + log b]
+    needs no reduction mod 2^m - 1; b = 0 and row 0 give 0.
+    """
+    ext = bytes(exp) * (256 // len(exp) + 2)
+    logs = bytes(log[1:])
+    return (bytes(len(log)),) + tuple(b"\0" + logs.translate(ext[la:la + 256])
+                                      for la in log[1:])
 
 
 @lru_cache(maxsize=None)

@@ -38,6 +38,13 @@ within the radius, which is unique, and the full run finds the same
 locator for it.  Any other outcome reruns Berlekamp-Massey in full, so
 every failure is the full run's.
 
+Berlekamp-Massey, omega and Forney multiply by the field's rows,
+rows[a][b] = a * b (gf2m.FieldContext.mul_rows), in fields up to GF(2^8):
+one lookup per product, where the exp/log tables take two log lookups, an
+add, a reduction mod 2^m - 1, an exp lookup and zero tests.  The larger
+fields have no rows (GF(2^16)'s would take 4 GiB) and keep the exp/log
+arithmetic; nothing else differs between the two.
+
 BCH's root search for degree three and more reads a table built per
 decoder: row j holds j * log(p_i) for every position, with p_i = X_i^-1,
 so sigma_j p_i^j is a single exp lookup.  It evaluates sigma at each
@@ -95,7 +102,10 @@ class _AlgebraicDecoder:
     X_i = 0); and qlog[i] = log q_i for q_i = y_i / X_i.  The radius is
     floor(nsyn / 2), the error value at position i is
     e_i = omega(p_i) / (q_i * sigma'(p_i)), and the subclass finds the
-    roots of a sigma of degree three or more in `_roots`.
+    roots of a sigma of degree three or more in `_roots`.  The field's
+    mul_rows, when it has them (m <= 8), carry the products of
+    Berlekamp-Massey, omega and Forney; without them (m > 8, or _rows set
+    to None) the exp/log tables do.
     """
 
     def __init__(self, code, field, img, columns, nsyn, ptlog, qlog):
@@ -147,6 +157,13 @@ class _AlgebraicDecoder:
         # the position of each nonzero locator X_i, for sigma of degree one
         # and two.  The locator 0 adds to S_0 only, so it is never a root.
         self._position = {exp[-lp % om1]: i for i, lp in enumerate(ptlog) if lp >= 0}
+        # Forney on the rows reads, per position, those of p_i, p_i^2 and
+        # 1 / q_i (the locator 0 is never a position there)
+        self._rows = rows = field.mul_rows
+        if rows is not None:
+            self._inv = [0] + [exp[-log[a] % om1] for a in range(1, field.order)]
+            self._forney = [(rows[exp[lp]], rows[exp[2 * lp % om1]], rows[exp[-lq % om1]])
+                            for lp, lq in zip(ptlog, qlog)]
         self._zero_at = ptlog.index(-1) if -1 in ptlog else None
         # the root of y^2 + y = c is the XOR of the basis roots of c's set
         # bits; tables per 8 bits of c take the XOR a byte at a time
@@ -187,13 +204,13 @@ class _AlgebraicDecoder:
         """The candidate for errors at `positions`, and at the locator 0
         when `zero` is set, or a failure.
 
-        Forney values use Horner's rule on the exp/log tables, with
-        sigma'(x) = P(x^2) for P built from sigma's odd coefficients.
+        Forney values use Horner's rule on the rows or the exp/log tables,
+        with sigma'(x) = P(x^2) for P built from sigma's odd coefficients.
         omega None means every error value is 1.  `acc` is the packed
         syndrome of the received word; adding those of the errors gives the
         candidate's.
         """
-        exp, log, om1 = self._exp, self._log, self._om1
+        exp, log, om1, rows = self._exp, self._log, self._om1, self._rows
         odd = sigma[1::2]
         odd.reverse()
         back, ptlog, qlog, contrib = self._back, self._ptlog, self._qlog, self._contrib
@@ -202,6 +219,18 @@ class _AlgebraicDecoder:
         for i in positions:
             if omega is None:
                 val = 1
+            elif rows is not None:
+                prow, zrow, qrow = self._forney[i]
+                num = 0
+                for c in reversed(omega):
+                    num = prow[num] ^ c
+                den = 0
+                for c in odd:
+                    den = zrow[den] ^ c
+                # 0 when num or den is 0, as inv[0] = 0
+                val = back.get(qrow[rows[num][self._inv[den]]])
+                if not val:
+                    return _FAILED
             else:
                 lp = ptlog[i]
                 num = 0
@@ -242,15 +271,18 @@ class _AlgebraicDecoder:
 
         mask = self._mask
         nsyn = self.nsyn
-        exp, log, om1 = self._exp, self._log, self._om1
-        S = [syn >> s & mask for s in self._shifts]
-        LS = [log[s] for s in S]
+        exp, log, om1, rows = self._exp, self._log, self._om1, self._rows
+        if rows is None:
+            S = [syn >> s & mask for s in self._shifts]
+            LS = [log[s] for s in S]
+        else:
+            RS = [rows[syn >> s & mask] for s in self._shifts]  # RS[j][a] = S_j * a
 
-        # Berlekamp-Massey (field ops inlined on the exp/log tables); each
-        # update x^shift * prev has degree at most the new register length,
-        # which never exceeds nsyn, so sigma keeps nsyn + 1 slots.  It may
-        # stop after two zero discrepancies in a row once 2L <= r + 1, before
-        # the last syndrome (see the module docstring).
+        # Berlekamp-Massey (field ops inlined on the rows or the exp/log
+        # tables); each update x^shift * prev has degree at most the new
+        # register length, which never exceeds nsyn, so sigma keeps nsyn + 1
+        # slots.  It may stop after two zero discrepancies in a row once
+        # 2L <= r + 1, before the last syndrome (see the module docstring).
         sigma = [1] + [0] * nsyn
         prev = [1]
         L = 0
@@ -260,11 +292,16 @@ class _AlgebraicDecoder:
         zr = -2  # the step of the last zero discrepancy
         stopped = False
         for r in range(nsyn):
-            d = S[r]
-            for j in range(1, L + 1):
-                sj = sigma[j]
-                if sj and S[r - j]:
-                    d ^= exp[(log[sj] + LS[r - j]) % om1]
+            if rows is None:
+                d = S[r]
+                for j in range(1, L + 1):
+                    sj = sigma[j]
+                    if sj and S[r - j]:
+                        d ^= exp[(log[sj] + LS[r - j]) % om1]
+            else:
+                d = RS[r][1]  # S_r
+                for j in range(1, L + 1):
+                    d ^= RS[r - j][sigma[j]]
             if not d:
                 if zr == r - 1 and r < last and 2 * L <= r + 1:
                     stopped = True
@@ -274,9 +311,14 @@ class _AlgebraicDecoder:
                 continue
             lco = log[d] - lb
             old = sigma[:L + 1] if 2 * L <= r else None
-            for j, c in enumerate(prev):
-                if c:
-                    sigma[shift + j] ^= exp[(lco + log[c]) % om1]
+            if rows is None:
+                for j, c in enumerate(prev, shift):
+                    if c:
+                        sigma[j] ^= exp[(lco + log[c]) % om1]
+            else:
+                row = rows[exp[lco]]  # d / b: -om1 < lco < om1 indexes exp as is
+                for j, c in enumerate(prev, shift):
+                    sigma[j] ^= row[c]
             if old is None:
                 shift += 1
             else:
@@ -311,16 +353,22 @@ class _AlgebraicDecoder:
         else:
             # omega = sigma * S mod x^nsyn; where sigma generates
             # S_0..S_{nsyn-1} as a shift register of length lfsr, only the
-            # terms below x^lfsr can be nonzero
+            # terms below x^lfsr can be nonzero, so sigma_i from i = lfsr on
+            # adds nothing
             omega = None
             if not self._binary:
                 omega = [0] * lfsr
-                for i, a in enumerate(sigma):
-                    if a:
-                        la = log[a]
-                        for j in range(lfsr - i):
-                            if S[j]:
-                                omega[i + j] ^= exp[(la + LS[j]) % om1]
+                if rows is None:
+                    for i, a in enumerate(sigma[:lfsr]):
+                        if a:
+                            la = log[a]
+                            for j in range(lfsr - i):
+                                if S[j]:
+                                    omega[i + j] ^= exp[(la + LS[j]) % om1]
+                else:
+                    for i, a in enumerate(sigma[:lfsr]):
+                        for j, rs in enumerate(RS[:lfsr - i], i):
+                            omega[j] ^= rs[a]
             res = self._finish(received, acc, positions, omega, sigma, zero)
         if stopped and res[2] is not SUCCESS:
             # the register that stopped early may be short of the full one,

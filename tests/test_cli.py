@@ -509,6 +509,43 @@ def test_build_goppa_refuses_a_zero_code_before_the_search(tmp_path, monkeypatch
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (("--ext-degree", "16", "--degree", "4"), "65536 locators"),
+    (("--base", "gf4", "--ext-degree", "14", "--degree", "8"), "16384 locators"),
+    (("--ext-degree", "13", "--degree", "1"), "8191 locators"),
+    (("--ext-degree", "16", "--degree", "4", "--length", "4097"), "4097 locators"),
+], ids=["gf2_m16", "gf4_m14", "degree_one_m13", "length"])
+def test_build_goppa_refuses_an_oversized_code_before_the_search(tmp_path, monkeypatch, capsys,
+                                                                 argv, needle):
+    # more than 2^24 matrix symbols (n^2) is a budget error, exit 3
+    def no_search(*args, **kwargs):
+        raise AssertionError("find_irreducible was called")
+
+    monkeypatch.setattr("srcodes.cli.find_irreducible", no_search)
+    out = tmp_path / "g.code"
+    assert main(["build-goppa", *argv, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and needle in captured.err and "the limit is 2^24" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--ext-degree", "12", "--degree", "4"),
+    ("--ext-degree", "16", "--degree", "4", "--length", "4096"),
+], ids=["m12", "length"])
+def test_build_goppa_searches_at_the_size_limit(tmp_path, monkeypatch, argv):
+    # 4096 locators, 2^24 symbols, pass the check and reach the search
+    class Searched(Exception):
+        pass
+
+    def searched(*args, **kwargs):
+        raise Searched
+
+    monkeypatch.setattr("srcodes.cli.find_irreducible", searched)
+    with pytest.raises(Searched):
+        main(["build-goppa", *argv, "--out", str(tmp_path / "g.code")])
+
+
 @pytest.mark.parametrize("argv, wrote", [
     (("--ext-degree", "3", "--degree", "1", "--length", "3"), "wrote [3,1,3]_2"),
     (("--base", "gf4", "--ext-degree", "2", "--degree", "3"), "wrote [4,1,4]_4"),

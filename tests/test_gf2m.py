@@ -136,6 +136,23 @@ def test_large_field_tables_are_compact():
     assert F.exp.itemsize == F.log.itemsize == 4
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_mul_rows_hold_every_product(m):
+    F = build_field(m)
+    rows = F.mul_rows
+    assert len(rows) == F.order and rows[0] == bytes(F.order)
+    assert all(rows[a][b] == F.mul(a, b) for a in F.elements() for b in F.elements())
+
+
+def test_mul_rows_are_shared_and_only_built_up_to_gf256():
+    # decoders read the rows of their cached field; the larger fields have none
+    from srcodes.codes import bch_build
+    from srcodes.hamdec import BchDecoder
+    first, second = BchDecoder(bch_build(15, (1, 6))), BchDecoder(bch_build(15, (1, 8)))
+    assert first._rows is second._rows is build_field(4).mul_rows
+    assert build_field(16).mul_rows is None and build_field(20).mul_rows is None
+
+
 def test_gf4_is_the_unique_field():
     assert GF4.mul(2, 2) == 3          # w * w = w^2 = w + 1
     assert GF4.mul(2, 3) == 1          # w * w^2 = 1

@@ -306,6 +306,39 @@ def test_berlekamp_massey_finds_the_locator_polynomial(name, data):
         sorted(errors - {dec._zero_at}), sigma, zero)
 
 
+def _kernel_pair(dec):
+    # the decoder, and a copy with the rows removed, which runs Berlekamp-
+    # Massey, omega and Forney on the exp/log tables
+    bare = copy.copy(dec)
+    bare._rows = None
+    return dec, bare
+
+
+KERNEL_CASES = {name: _kernel_pair(dec)
+                for cases in (ROOT_SCAN_CASES, BCH_SCAN_CASES)
+                for name, (dec, _) in cases.items() if dec.field.m <= 8}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_row_and_exp_log_kernels_agree(name, data):
+    # codewords plus 0..radius+3 errors, and raw random words, decode to
+    # equal results, status included, on the rows and on the exp/log tables
+    dec, bare = KERNEL_CASES[name]
+    assert dec._rows is dec.field.mul_rows is not None
+    code = dec.code
+    n, q = code.n, code.base_field.order
+    if data.draw(st.booleans()):
+        rec = bytes(b % q for b in data.draw(st.binary(min_size=n, max_size=n)))
+    else:
+        msg = data.draw(st.lists(st.integers(0, q - 1), min_size=code.k, max_size=code.k))
+        pos = data.draw(st.lists(st.integers(0, n - 1), max_size=dec.radius + 3, unique=True))
+        vals = data.draw(st.lists(st.integers(1, q - 1), min_size=len(pos), max_size=len(pos)))
+        rec, _ = _add_error(code.encode(msg), pos, vals)
+    assert dec.decode(rec) == bare.decode(rec)
+
+
 def _alphabet_cases():
     F5, F8 = build_field(5), build_field(8)
     bch15 = bch_build(15, (1, 6))
