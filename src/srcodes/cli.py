@@ -200,7 +200,10 @@ def load_code(text):
 
     cons = extra.get("construction")
     # fields counting the name: bch n leaders / goppa base m modulus
-    if cons and len(cons) < {"bch": 3, "goppa": 4}.get(cons[0], 0):
+    arity = {"bch": 3, "goppa": 4}
+    if cons is not None and (not cons or cons[0] not in arity):
+        raise ConstructionError(f"unknown construction {' '.join(cons)!r}")
+    if cons and len(cons) < arity[cons[0]]:
         raise ConstructionError(f"construction {cons[0]} line has too few fields")
     if cons and cons[0] == "bch":
         cn = _int(cons[1])
@@ -209,9 +212,12 @@ def load_code(text):
         if tuple(rows) != code.generator_matrix:
             raise ConstructionError("bch construction metadata does not match rows")
     elif cons and cons[0] == "goppa":
+        goppa_base = {"gf2": GF2, "gf4": GF4}.get(cons[1])
+        if goppa_base is None:
+            raise ConstructionError(f"unsupported goppa base {cons[1]!r}")
         f = build_field(_int(cons[2]), _int(cons[3], 16))
         code = goppa_build(f, _required(extra, "locators"), _required(extra, "gpoly"),
-                           base=GF2 if cons[1] == "gf2" else GF4)
+                           base=goppa_base)
         if tuple(rows) != code.generator_matrix:
             raise ConstructionError("goppa construction metadata does not match rows")
     elif fields.get("kind") == "additive":

@@ -88,20 +88,18 @@ def longest_cyclic_run(exponents, n):
 
 
 class DefiningSet:
-    """A set of residues mod n closed under multiplication by q."""
+    """A set of residues mod n closed under multiplication by 4."""
 
-    def __init__(self, n, exponents, q=4):
+    def __init__(self, n, exponents):
         self.n = n
-        self.q = q
         self.exponents = frozenset(e % n for e in exponents)
-        closed = coset_closure(self.exponents, q, n)
-        if closed != self.exponents:
+        if coset_closure(self.exponents, 4, n) != self.exponents:
             raise ConstructionError(
-                f"defining set {sorted(self.exponents)} is not closed under x{q} mod {n}")
+                f"defining set {sorted(self.exponents)} is not closed under x4 mod {n}")
 
     @classmethod
-    def from_cosets(cls, n, leaders, q=4):
-        return cls(n, coset_closure(leaders, q, n), q=q)
+    def from_cosets(cls, n, leaders):
+        return cls(n, coset_closure(leaders, 4, n))
 
     @property
     def designed_distance(self):
@@ -182,15 +180,18 @@ def nullspace(reduced, pivots, ncols):
 # ----------------------------------------------------------------------
 
 class _Code:
-    """What linear and additive codes share: the distance bookkeeping, and
-    encoding through the GF(2) generators packed into ints.  A subclass
-    sets n and f2_generators before calling __init__.
+    """What linear and additive codes share: the distance bookkeeping,
+    encoding through the GF(2) generators packed into ints, and membership.
+    A subclass sets n and f2_generators before calling __init__.
 
     Immutable after construction apart from d_exact, which caches a
-    certified minimum distance once one has been computed.
+    certified minimum distance once one has been computed, and two lazy
+    caches derived from the generators: _echelon, built by the first
+    contains call, and _codeword_matrix (see iter_codeword_chunks).
     """
 
     bch_info = goppa_info = None  # set by bch_build and goppa_build
+    _echelon = None
 
     def __init__(self, d_lower, d_tag):
         self.d_designed = d_lower
@@ -217,12 +218,27 @@ class _Code:
     def size(self):
         return 1 << self.f2_dimension
 
+    def contains(self, word):
+        """Whether the word, of length n, reduces to zero against the GF(2)
+        echelon of the generators; RangeError for a symbol outside the field."""
+        if len(word) != self.n:
+            return False
+        if self._echelon is None:
+            echelon = []
+            for v in self._packed:
+                gf2_insert(echelon, v)
+            self._echelon = echelon
+        word = vec_checked(word, self.base_field.order)
+        return not gf2_reduce(self._echelon, int.from_bytes(word, "big"))
+
 
 class LinearCode(_Code):
     """A linear [n, k] code over GF(2) or GF(4).
 
     Without parity rows, the generator rows must be independent and the
     parity matrix is their kernel; parity rows passed in are trusted.
+    parity_matrix is data for callers: membership, like encoding, reads
+    the generators, and their echelon is cached lazily as _Code says.
     """
 
     kind = "linear"
@@ -264,23 +280,6 @@ class LinearCode(_Code):
             msg = [s >> j & 1 for s in msg for j in (0, 1)]
         return _xor_selected(self._packed, msg, self.n)
 
-    def syndrome(self, word):
-        word = vec_checked(word, self.base_field.order)
-        mul = self.base_field.mul
-        out = []
-        for h in self.parity_matrix:
-            acc = 0
-            for a, b in zip(h, word):
-                if a and b:
-                    acc ^= mul(a, b)
-            out.append(acc)
-        return bytes(out)
-
-    def contains(self, word):
-        if len(word) != self.n:
-            return False
-        return not any(self.syndrome(word))
-
     def __repr__(self):
         d = self.d_exact if self.d_exact is not None else self.d_designed
         q = self.base_field.order
@@ -291,7 +290,8 @@ class AdditiveCode(_Code):
     """A GF(2)-linear (additive) code inside GF(4)^n.
 
     Stored through a GF(2)-independent generator list; the quaternary
-    "dimension" is f2_dimension / 2 and may be half-integral.
+    "dimension" is f2_dimension / 2 and may be half-integral.  Membership
+    is _Code's, against the generators' echelon, built on the first call.
     """
 
     kind = "additive"
@@ -302,24 +302,12 @@ class AdditiveCode(_Code):
         self.f2_generators = tuple(bytes(g) for g in f2_generators)
         super().__init__(d_lower, d_tag)
         self.dropped = dropped
-        self._echelon = []
-        for v in self._packed:
-            gf2_insert(self._echelon, v)
 
     @property
     def k(self):
         return self.f2_dimension / 2
 
     encode = _Code.encode_f2
-
-    def contains(self, word):
-        if len(word) != self.n:
-            return False
-        return not self.syndrome(word)
-
-    def syndrome(self, word):
-        # reduction residue doubles as a membership syndrome
-        return gf2_reduce(self._echelon, int.from_bytes(vec_checked(word, 4), "big"))
 
     def __repr__(self):
         d = self.d_exact if self.d_exact is not None else self.d_designed
@@ -389,8 +377,8 @@ def bch_build(n, spec):
     """
     h = bch_locator_exponent(n)
     if isinstance(spec, DefiningSet):
-        if spec.n != n or spec.q != 4:
-            raise ConstructionError("defining set modulus/base mismatch")
+        if spec.n != n:
+            raise ConstructionError("defining set modulus mismatch")
         T = spec
     else:
         b, delta = spec

@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional, Tuple
 from .errors import ConfigError, RangeError
 from .gf2m import SCALE4, vec_checked, vec_scale, vec_xor
 from .codes import DEFAULT_BUDGET
-from .sumrank import SrWord, sr_sweep
+from .sumrank import SrWord, decodable_d_sr, sr_sweep
 
 _BETA_SQ = {1: 1, 2: 3, 3: 2}
 _ONES = {}  # n -> the integer with bit 0 of each of n bytes set
@@ -71,9 +71,9 @@ _C1_FAILED = SrDecodeResult(STATUS_C1_FAILURE, None, None, None, (), 1, 0)
 def _check_config(code, dec1, dec2, d_sr):
     """Validate d_sr (default code.d_sr_decodable) and the decoders; return the radius."""
     d1, d2 = code.c1.d_lower, code.c2.d_lower  # at every call: d_exact may change
-    if d1 is None or d2 is None:
+    top = decodable_d_sr(d1, d2)
+    if top is None:
         raise ConfigError("a zero component leaves no decodable distance")
-    top = min(d1, 3 * d2 // 2)  # code.d_sr_decodable
     if d_sr is None:
         d_sr = top
     if not 1 <= d_sr <= top or d_sr != int(d_sr):

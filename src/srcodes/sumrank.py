@@ -116,6 +116,14 @@ def _d_sr_bound(d1, d2):
     return max(min(d1, 2 * d2), min(d2, 2 * d1))
 
 
+def decodable_d_sr(d1, d2):
+    """The largest d_sr that meets the reduction decoder's hypotheses,
+    d1 >= d_sr and 3 d2 >= 2 d_sr; None when a component is the zero code.
+    Never above _d_sr_bound: min(d1, 2 d2) >= min(d, 4d/3) = d for this d.
+    """
+    return None if d1 is None or d2 is None else min(d1, 3 * d2 // 2)
+
+
 def _check_component(code, name):
     if code.base_field.order != 4:
         raise ConstructionError(f"{name} must be a quaternary code "
@@ -148,12 +156,8 @@ class SumRankCode:
 
     @property
     def d_sr_decodable(self):
-        """The largest d_sr that meets the reduction decoder's hypotheses,
-        d1 >= d_sr and 3 d2 >= 2 d_sr; None when a component is the zero code.
-        Never above d_sr_lower: min(d1, 2 d2) >= min(d, 4d/3) = d for this d.
-        """
-        d1, d2 = self.c1.d_lower, self.c2.d_lower
-        return None if d1 is None or d2 is None else min(d1, 3 * d2 // 2)
+        """decodable_d_sr of the component distances; never above d_sr_lower."""
+        return decodable_d_sr(self.c1.d_lower, self.c2.d_lower)
 
     def decoder_ready_for(self, d_sr):
         """Whether the reduction decoder is exact up to floor((d_sr - 1) / 2)."""
@@ -165,18 +169,14 @@ class SumRankCode:
         d = self.d_sr_decodable
         return d is not None and d == self.d_sr_lower
 
-    def split_message(self, bits):
-        """The C1 and C2 parts of a message, as bytes; RangeError for a bad bit or length."""
+    def encode(self, bits):
+        """The codeword of message bits, C1's first; RangeError for a bad bit or length."""
         bits = vec_checked(bits, 2)
         if len(bits) != self.f2_dimension:
             raise RangeError(
                 f"message length {len(bits)} != F2 dimension {self.f2_dimension}")
         cut = self.c1.f2_dimension
-        return bits[:cut], bits[cut:]
-
-    def encode(self, bits):
-        b1, b2 = self.split_message(bits)
-        return SrWord(self.c2.encode_f2(b2), self.c1.encode_f2(b1))
+        return SrWord(self.c2.encode_f2(bits[cut:]), self.c1.encode_f2(bits[:cut]))
 
     def contains(self, word):
         return (self.c1.contains(word.coeff_x2)

@@ -135,6 +135,8 @@ def test_malformed_fields_are_construction_errors():
     bch = dump_code(bch_build(15, (1, 6)))
     lin = dump_code(packaged_code("linear_12_8_4.code"))
     goppa = dump_code(_goppa32())
+    F = build_field(4)
+    goppa4 = dump_code(goppa_build(F, None, find_irreducible(F, 2, seed=1), base=GF4))
     bad = [_with_line(bch, "length", "length abc"),
            _with_line(bch, "length", "length 16"),
            _with_line(goppa, "length", "length 31"),
@@ -142,6 +144,9 @@ def test_malformed_fields_are_construction_errors():
            _with_line(lin, "dimension", "dimension q"),
            bch + "dexact z\n",
            _with_line(bch, "construction", "construction bch 15 1,x"),
+           _with_line(bch, "construction", "construction bhc 15 1,2,3,5"),
+           _with_line(bch, "construction", "construction"),
+           goppa4.replace("construction goppa gf4 ", "construction goppa gf9 "),
            _with_line(goppa, "gpoly", "gpoly zz 1 1"),
            _with_line(goppa, "locators", "locators 1 99"),
            _with_line(goppa, "gpoly", "gpoly 1 1 40"),

@@ -20,6 +20,7 @@ from srcodes.codes import (
     nullspace,
     rref,
 )
+from srcodes.cli import packaged_code
 from srcodes.sumrank import goppa_pair_dimension
 
 
@@ -511,6 +512,52 @@ def test_packed_encode_matches_row_sums(name, data):
         assert code.encode(syms) == expected
     else:
         assert code.encode(bits) == code.encode_f2(bits)
+
+
+def _parity_syndrome(code, word):
+    """H·w over the base field, one parity row at a time: the reference for contains."""
+    mul = code.base_field.mul
+    out = []
+    for h in code.parity_matrix:
+        acc = 0
+        for a, b in zip(h, word):
+            if a and b:
+                acc ^= mul(a, b)
+        out.append(acc)
+    return bytes(out)
+
+
+MEMBERSHIP_CODES = {
+    **{name: ENCODING_CODES[name]
+       for name in ("bch15-gf4", "bch63-gf4", "goppa32-gf2", "goppa64-gf4")},
+    "linear_12_8_4": packaged_code("linear_12_8_4.code"),
+    "zero": LinearCode(GF4, [], parity_rows=[bytes([0] * i + [1] + [0] * (5 - i))
+                                             for i in range(6)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_CODES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_contains_is_the_parity_check(name, data):
+    # codewords, codewords plus an error of weight 1..4, and raw words
+    code = MEMBERSHIP_CODES[name]
+    assert all(map(code.contains, code.f2_generators))
+    q, n, k2 = code.base_field.order, code.n, code.f2_dimension
+    kind = data.draw(st.sampled_from(["codeword", "codeword+error", "raw"]))
+    if kind == "raw":
+        word = bytes(data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n)))
+    else:
+        word = code.encode_f2(data.draw(st.lists(st.integers(0, 1), min_size=k2,
+                                                 max_size=k2)))
+    if kind == "codeword+error":
+        error = bytearray(n)
+        for i in data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4)):
+            error[i] = data.draw(st.integers(1, q - 1))
+        word = vec_xor(word, bytes(error))
+    assert code.contains(word) == (not any(_parity_syndrome(code, word)))
+    if kind == "codeword":
+        assert code.contains(word)
 
 
 def test_min_distance_budget():
